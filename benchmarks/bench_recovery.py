@@ -24,8 +24,8 @@ Usage::
 same gate :mod:`benchmarks.compare` applies. The overhead budget
 (``compare.WAL_OVERHEAD_BUDGET``, < 10%) is enforced on full-run
 baselines; quick runs flush batches too small for the per-commit fsync
-floor to amortize, so — like the service request floor and the fastpath
-speedup floors — the budget does not gate them.
+floor to amortize, so — like the service request floor — the budget
+does not gate them.
 """
 
 from __future__ import annotations

@@ -60,10 +60,6 @@ OVERHEAD_BUDGET = 0.03
 #: service baseline may report (quick fan-outs are seconds-scale noise,
 #: so they are not gated)
 TRACING_OVERHEAD_BUDGET = 0.03
-#: fastpath speedup floors a full-run candidate baseline must clear
-#: (mirrors harness.check_baseline; quick baselines are not gated)
-FASTPATH_DUP_FLOOR = 2.0
-FASTPATH_TABLE2_FLOOR = 1.3
 #: minimum concurrent mixed requests a full-run service baseline must
 #: have sustained (the PR acceptance bar; quick runs are not gated)
 SERVICE_REQUEST_FLOOR = 1000
@@ -204,29 +200,6 @@ def compare_bulkload(cmp: Comparison, old: dict, new: dict) -> None:
 def compare_overhead(cmp: Comparison, old: dict, new: dict) -> None:
     cmp.exact("overhead.nodes", old.get("nodes"), new.get("nodes"))
     cmp.bound("overhead.overhead_fraction", new["overhead_fraction"], OVERHEAD_BUDGET)
-
-
-def check_fastpath(cmp: Comparison, new: dict, quick: bool) -> None:
-    """Absolute gate on the candidate's fastpath scenario.
-
-    Unlike the diff-style comparers this also runs when the *old*
-    baseline predates the scenario: kernel/reference identity must always
-    hold, and full-run baselines must clear the speedup floors.
-    """
-    for row in new.get("rows", []):
-        label = f"fastpath[{row['document']}/{row['algorithm']}]"
-        cmp.exact(f"{label}.identical", True, row.get("identical"))
-        if quick or row["algorithm"] != "dhw":
-            continue
-        floor = (
-            FASTPATH_DUP_FLOOR
-            if row["workload"] == "duplicated_subtrees"
-            else FASTPATH_TABLE2_FLOOR
-        )
-        if row["speedup"] < floor:
-            cmp.regressions.append(
-                f"{label}.speedup: {row['speedup']:.2f}x < {floor}x floor"
-            )
 
 
 def compare_service(cmp: Comparison, old: dict, new: dict) -> None:
@@ -482,8 +455,6 @@ def compare_baselines(old: dict, new: dict) -> Comparison:
     for scenario, comparer in comparers.items():
         if scenario in old["scenarios"]:
             comparer(cmp, old["scenarios"][scenario], new["scenarios"][scenario])
-    if "fastpath" in new.get("scenarios", {}):
-        check_fastpath(cmp, new["scenarios"]["fastpath"], bool(new.get("quick")))
     if "service" in new.get("scenarios", {}):
         check_service(cmp, new["scenarios"]["service"], bool(new.get("quick")))
     if "recovery" in new.get("scenarios", {}):

@@ -14,12 +14,6 @@ committed one) so perf regressions show up as a diff:
 * **overhead** — the telemetry-disabled instrumentation cost of the
   ``Partitioner.partition`` wrapper against a bare ``_partition`` call
   (acceptance: < 3%).
-* **fastpath** — the :mod:`repro.fastpath` kernels against the reference
-  partitioners on a duplicated-subtree document (DAG memoization's
-  headline case) and the Table-2 corpus; rows record both timings, the
-  speedup, an output-identity bit and the shape-cache hit ratio.
-  Committed full baselines must clear the speedup floors (dhw >= 2x on
-  the duplicated doc, >= 1.3x on the corpus — ``check_baseline``).
 
 Usage::
 
@@ -63,6 +57,7 @@ from repro import telemetry  # noqa: E402
 from repro.bench.table3 import run_query_experiment  # noqa: E402
 from repro.bulkload import BulkLoader  # noqa: E402
 from repro.datasets.registry import PAPER_DOCUMENTS  # noqa: E402
+from repro.fastpath import clear_default_cache  # noqa: E402
 from repro.partition import evaluate_partitioning, get_algorithm  # noqa: E402
 from repro.partition.binpack import capacity_lower_bound  # noqa: E402
 from repro.storage import DocumentStore  # noqa: E402
@@ -72,12 +67,7 @@ from repro.xmlio.weights import PAPER_LIMIT  # noqa: E402
 
 SCHEMA = "repro-bench/1"
 BASELINE = REPO_ROOT / "BENCH_PR5.json"
-SCENARIOS = ("table1_table2", "table3", "bulkload", "overhead", "fastpath")
-
-#: speedup floors a committed full-run baseline must clear (quick/CI
-#: smoke runs are too small to be meaningful and are not gated)
-FASTPATH_DUP_FLOOR = 2.0  # dhw on the duplicated-subtree document
-FASTPATH_TABLE2_FLOOR = 1.3  # dhw on every Table-2 corpus document
+SCENARIOS = ("table1_table2", "table3", "bulkload", "overhead")
 
 #: Table 1/2 column order (the paper's); dhw is the slow optimum.
 TABLE_ALGORITHMS = ("dhw", "ghdw", "ekm", "rs", "dfs", "km", "bfs")
@@ -91,9 +81,10 @@ def bench_table1_table2(quick: bool) -> dict:
     Full runs time each partition call ``repeats`` times and keep the
     minimum — a transient load spike on a shared machine should not land
     in the committed baseline (same rationale as :func:`bench_overhead`).
-    The deterministic metrics are identical on every repeat; dp_cells is
-    read from the per-repeat capture registry, so repeating never
-    inflates it.
+    The deterministic metrics are identical on every repeat: the DP shape
+    cache is emptied before each one, so dp_cells (read from the
+    per-repeat capture registry) and the timing are the cold-cache ones —
+    intra-document shape reuse only, nothing carried between repeats.
     """
     scale = 0.1 if quick else 0.25
     repeats = 1 if quick else 3
@@ -116,6 +107,7 @@ def bench_table1_table2(quick: bool) -> dict:
                 # A gen-2 GC pause against the accumulated store/tree heap
                 # costs ~10ms — enough to double a heuristic's cell. Pay
                 # the collection outside the span, pause GC inside it.
+                clear_default_cache()
                 gc.collect()
                 gc.disable()
                 try:
@@ -232,9 +224,7 @@ def bench_overhead(quick: bool) -> dict:
 
     def bare() -> float:
         start = perf_counter()
-        for node in tree:
-            if node.weight > PAPER_LIMIT:
-                raise AssertionError("infeasible")
+        algo._check_feasible(tree, PAPER_LIMIT)
         algo._partition(tree, PAPER_LIMIT)
         return perf_counter() - start
 
@@ -262,82 +252,6 @@ def bench_overhead(quick: bool) -> dict:
     }
 
 
-def bench_fastpath(quick: bool) -> dict:
-    """Fast-path kernels vs reference partitioners (min of repeats).
-
-    The shape cache is cleared before every fastpath repeat, so the
-    reported speedup is the *cold-cache* one — intra-document shape reuse
-    only, no carry-over between repeats or rows. Timings are minima over
-    interleaved repeats (same rationale as :func:`bench_overhead`).
-    """
-    from time import perf_counter  # the harness itself may read the clock
-
-    from repro.datasets.random_trees import duplicated_subtree_tree
-    from repro.fastpath import clear_default_cache, default_cache
-
-    telemetry.disable()
-    repeats = 2 if quick else 3
-    scale = 0.1 if quick else 0.25
-    copies = 100 if quick else 400
-    duplicated = duplicated_subtree_tree(copies, template_size=40, seed=2006)
-    workloads = [("duplicated_subtrees", "duplicated", duplicated, 23, ("dhw", "ghdw"))]
-    documents = PAPER_DOCUMENTS[:2] if quick else PAPER_DOCUMENTS
-    for spec in documents:
-        tree = spec.generate(scale=scale, seed=2006)
-        workloads.append(("table2", spec.name, tree, PAPER_LIMIT, ("dhw", "ghdw")))
-    rows = []
-    for workload, document, tree, limit, algorithms in workloads:
-        for name in algorithms:
-            print(f"[harness]   fastpath {document}/{name} ...", file=sys.stderr)
-            reference = get_algorithm(name)
-            reference.fastpath = False
-            kernel = get_algorithm(name)
-            kernel.fastpath = True
-            ref_times, fast_times = [], []
-            ref_result = fast_result = None
-            for _ in range(repeats):
-                start = perf_counter()
-                ref_result = reference.partition(tree, limit, check=False)
-                ref_times.append(perf_counter() - start)
-                clear_default_cache()
-                start = perf_counter()
-                fast_result = kernel.partition(tree, limit, check=False)
-                fast_times.append(perf_counter() - start)
-            cache = default_cache().stats()
-            ref_s, fast_s = min(ref_times), min(fast_times)
-            rows.append(
-                {
-                    "workload": workload,
-                    "document": document,
-                    "nodes": len(tree),
-                    "limit": limit,
-                    "algorithm": name,
-                    "reference_seconds": ref_s,
-                    "fastpath_seconds": fast_s,
-                    "speedup": ref_s / fast_s if fast_s else 0.0,
-                    "identical": fast_result == ref_result,
-                    "cache_hit_ratio": cache["hit_ratio"],
-                    "cache_entries": cache["entries"],
-                }
-            )
-    return {"scale": scale, "repeats": repeats, "copies": copies, "rows": rows}
-
-
-def format_fastpath_rows(scenario: dict) -> str:
-    lines = [
-        f"{'workload':20s} {'document':18s} {'alg':5s} {'reference':>10s} "
-        f"{'fastpath':>10s} {'speedup':>8s} {'hit%':>6s} {'same':>5s}"
-    ]
-    for row in scenario.get("rows", []):
-        lines.append(
-            f"{row['workload']:20s} {row['document']:18s} {row['algorithm']:5s} "
-            f"{row['reference_seconds']:9.3f}s {row['fastpath_seconds']:9.3f}s "
-            f"{row['speedup']:7.2f}x {row['cache_hit_ratio'] * 100:5.1f}% "
-            f"{'yes' if row['identical'] else 'NO':>5s}"
-        )
-    return "\n".join(lines)
-
-
 def run_benchmarks(quick: bool) -> dict:
     payload: dict = {
         "schema": SCHEMA,
@@ -350,7 +264,6 @@ def run_benchmarks(quick: bool) -> dict:
         "table3": bench_table3,
         "bulkload": bench_bulkload,
         "overhead": bench_overhead,
-        "fastpath": bench_fastpath,
     }
     for name in SCENARIOS:
         print(f"[harness] running {name} ...", file=sys.stderr)
@@ -374,23 +287,6 @@ def check_baseline(path: Path) -> int:
     fraction = overhead.get("overhead_fraction")
     if fraction is None or fraction >= 0.03:
         problems.append(f"overhead_fraction {fraction!r} not < 0.03")
-    fastpath = data.get("scenarios", {}).get("fastpath", {})
-    if not data.get("quick"):  # floors only bind on full-run baselines
-        for row in fastpath.get("rows", []):
-            label = f"fastpath[{row['document']}/{row['algorithm']}]"
-            if not row.get("identical"):
-                problems.append(f"{label} output not identical to reference")
-            if row["algorithm"] != "dhw":
-                continue
-            floor = (
-                FASTPATH_DUP_FLOOR
-                if row["workload"] == "duplicated_subtrees"
-                else FASTPATH_TABLE2_FLOOR
-            )
-            if row["speedup"] < floor:
-                problems.append(
-                    f"{label} speedup {row['speedup']:.2f}x < {floor}x floor"
-                )
     for problem in problems:
         print(f"[harness] baseline check: {problem}", file=sys.stderr)
     if not problems:
@@ -428,11 +324,6 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     overhead = payload["scenarios"]["overhead"]["overhead_fraction"]
     print(f"[harness] wrapper overhead: {overhead * 100:.2f}%", file=sys.stderr)
-    print(
-        "[harness] fastpath speedups (reference vs kernel):\n"
-        + format_fastpath_rows(payload["scenarios"]["fastpath"]),
-        file=sys.stderr,
-    )
     return 0
 
 

@@ -1,7 +1,7 @@
 """The LIN (linearity) rule family of ``repro-lint``.
 
 The paper's central result is that optimal sibling partitioning runs in
-time *linear* in the tree size; PR 5's fastpath kernels were hand-audited
+time *linear* in the tree size; the flat-array DP kernels were hand-audited
 for that property. These passes machine-check the two ways linearity
 quietly dies in kernel code:
 

@@ -108,7 +108,7 @@ def run_memoization_ablation(
                     document=doc,
                     algorithm=algo.name,
                     inner_nodes=stats.inner_nodes,
-                    avg_s_values=sum(svals) / len(svals) if svals else 0.0,
+                    avg_s_values=sum(svals) / stats.inner_nodes if stats.inner_nodes else 0.0,
                     max_s_values=max(svals) if svals else 0,
                     dp_cells=stats.dp_cells,
                     full_table_cells=full,

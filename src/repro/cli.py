@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 from repro import telemetry
 from repro.bulkload import BulkLoader
 from repro.errors import ReproError
+from repro.fastpath import default_cache
 from repro.partition import available_algorithms, evaluate_partitioning, get_algorithm
 from repro.partition.analysis import analyze_partitioning
 from repro.partition.render import render_partitioning
@@ -149,36 +150,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fastpath_comparison(tree, algorithm: str, limit: int) -> dict:
-    """Time the reference implementation against the fastpath kernel.
-
-    Runs on a cold shape cache so the reported timings and hit ratio
-    describe this document alone; both runs happen inside the caller's
-    telemetry registry, so the ``stats.fastpath.*`` spans also land in
-    the trace (and the Chrome-trace export, see ``dhw.fastpath``).
-    """
-    from repro.fastpath import clear_default_cache, default_cache
-
-    name = algorithm if get_algorithm(algorithm).fastpath_capable else "dhw"
-    reference = get_algorithm(name)
-    reference.fastpath = False
-    kernel = get_algorithm(name)
-    kernel.fastpath = True
-    clear_default_cache()
-    with telemetry.span("stats.fastpath.reference") as sp_ref:
-        ref_result = reference.partition(tree, limit, check=False)
-    with telemetry.span("stats.fastpath.kernel") as sp_fast:
-        fast_result = kernel.partition(tree, limit, check=False)
-    return {
-        "algorithm": name,
-        "reference_seconds": sp_ref.elapsed,
-        "kernel_seconds": sp_fast.elapsed,
-        "speedup": sp_ref.elapsed / sp_fast.elapsed if sp_fast.elapsed else 0.0,
-        "identical": ref_result == fast_result,
-        "cache": default_cache().stats(),
-    }
-
-
 def _index_comparison(store: DocumentStore, query: str) -> dict:
     """Time window evaluation against pure navigation for one query.
 
@@ -227,18 +198,13 @@ def _format_index(comparison: dict) -> str:
     return "\n".join(lines)
 
 
-def _format_fastpath(comparison: dict) -> str:
-    cache = comparison["cache"]
-    lines = [
-        "fastpath ({algorithm}): reference {reference_seconds:.3f}s, "
-        "kernel {kernel_seconds:.3f}s ({speedup:.1f}x), identical output: "
-        "{identical}".format(**comparison),
-        f"fastpath cache: {cache['hits']} hits / {cache['misses']} misses "
-        f"({cache['hit_ratio'] * 100:.1f}% hit ratio), "
-        f"{cache['evictions']} evictions, {cache['entries']} entries "
-        f"({cache['shapes']} distinct shapes)",
-    ]
-    return "\n".join(lines)
+def _format_memo_cache(stats: dict) -> str:
+    return (
+        f"memo cache: {stats['hits']} hits / {stats['misses']} misses "
+        f"({stats['hit_ratio'] * 100:.1f}% hit ratio), "
+        f"{stats['evictions']} evictions, {stats['entries']} entries "
+        f"({stats['shapes']} distinct shapes)"
+    )
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -288,9 +254,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
             tracer.finish(ctx, root, query=args.query, doc=args.document)
             telemetry.reset_trace(trace_token)
         heat_profile = heat.profile() if heat is not None else None
-        fastpath = None
-        if args.fastpath:
-            fastpath = _fastpath_comparison(tree, args.algorithm, args.limit)
+        # this process's DP shape cache; untouched unless a DP partitioner ran
+        memo_cache = default_cache().stats()
+        if not memo_cache["hits"] + memo_cache["misses"]:
+            memo_cache = None
         index_report = None
         if args.index:
             if not args.query:
@@ -305,8 +272,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         elif args.json:
             payload = telemetry.snapshot(reg)
             payload["environment"] = telemetry.environment_fingerprint()
-            if fastpath is not None:
-                payload["fastpath"] = fastpath
+            if memo_cache is not None:
+                payload["memo_cache"] = memo_cache
             if index_report is not None:
                 payload["index"] = index_report
             if tracer is not None and args.traces:
@@ -319,9 +286,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print()
         else:
             print(telemetry.format_metrics(reg))
-            if fastpath is not None:
-                print()
-                print(_format_fastpath(fastpath))
+            if memo_cache is not None:
+                print(_format_memo_cache(memo_cache))
             if index_report is not None:
                 print()
                 print(_format_index(index_report))
@@ -501,12 +467,6 @@ def _add_stats_arguments(parser: argparse.ArgumentParser) -> None:
         "--profile",
         action="store_true",
         help="append a per-phase self-time profile of the span tree (text mode)",
-    )
-    parser.add_argument(
-        "--fastpath",
-        action="store_true",
-        help="also time the fastpath kernel against the reference "
-        "implementation and report cache hit ratios (docs/PERFORMANCE.md)",
     )
     parser.add_argument(
         "--chrome-trace",

@@ -1,55 +1,29 @@
-"""repro.fastpath — flat-array kernels and DAG memoization (docs/PERFORMANCE.md).
+"""repro.fastpath — flat arrays, shape memoization, parallel bulk load.
 
-The fast path accelerates the DP partitioners (and the bulk loader) while
-producing results bit-identical to the reference implementations:
+The infrastructure under the DP partitioners (docs/PERFORMANCE.md):
 
-* :class:`~repro.fastpath.flat.FlatTree` — structure-of-arrays snapshot
-  of a :class:`~repro.tree.node.Tree` (parent / first-child /
-  next-sibling / weight / subtree-weight plus a CSR children view).
-* :mod:`repro.fastpath.kernels` — iterative DHW / GHDW / FDW kernels
-  over those arrays.
+* :class:`~repro.fastpath.flat.FlatWeights` — structure-of-arrays view of
+  a :class:`~repro.tree.node.Tree` (weight / subtree-weight columns plus
+  a CSR children view) that the DHW / GHDW / FDW loops in
+  :mod:`repro.partition` iterate over; :class:`~repro.fastpath.flat.FlatTree`
+  adds links and payload for an exact, picklable round trip.
 * :class:`~repro.fastpath.cache.FastpathCache` — subtree-shape
   hash-consing with an LRU-bounded per-``(shape, capacity)`` DP result
   cache (``fastpath.cache.{hit,miss,evict}`` telemetry counters).
 * :class:`~repro.fastpath.parallel.ParallelBulkLoader` — bulk load that
   fans independent top-level subtrees over a ``multiprocessing`` pool
   with a deterministic ordered merge.
-
-Selection: ``Partitioner(fastpath=True/False)`` per instance, or the
-``REPRO_FASTPATH`` environment variable for whole sessions (the
-constructor argument wins). The fast path auto-disables under an active
-explain scope and under ``collect_stats=True`` — both need the reference
-implementation's per-decision bookkeeping.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.fastpath.cache import FastpathCache, clear_default_cache, default_cache
-from repro.fastpath.flat import FlatTree
-from repro.fastpath.kernels import dhw_fastpath, fdw_fastpath, ghdw_fastpath
-
-#: environment switch: "1"/"true"/"on"/"yes" enable the fast path for
-#: every capable partitioner whose ``fastpath`` argument was left unset
-FASTPATH_ENV = "REPRO_FASTPATH"
-
-_TRUTHY = frozenset({"1", "true", "on", "yes"})
-
-
-def env_enabled() -> bool:
-    """Does ``REPRO_FASTPATH`` request the fast path for this session?"""
-    return os.environ.get(FASTPATH_ENV, "").strip().lower() in _TRUTHY
-
+from repro.fastpath.flat import FlatTree, FlatWeights
 
 __all__ = [
-    "FASTPATH_ENV",
     "FastpathCache",
     "FlatTree",
+    "FlatWeights",
     "clear_default_cache",
     "default_cache",
-    "dhw_fastpath",
-    "env_enabled",
-    "fdw_fastpath",
-    "ghdw_fastpath",
 ]

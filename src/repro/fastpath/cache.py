@@ -1,7 +1,7 @@
-"""DAG-aware memoization for the fast-path DP kernels.
+"""DAG-aware memoization for the DP partitioners (DHW / GHDW / FDW).
 
 Real XML is dominated by repeated subtree shapes (relational exports
-repeat one record template thousands of times), so the kernels pay the
+repeat one record template thousands of times), so the partitioners pay the
 flat DP once per *distinct* shape instead of once per node:
 
 * **Shape interning (hash-consing).** Two subtrees share a shape id iff
@@ -32,7 +32,7 @@ from collections import OrderedDict
 from typing import Optional
 
 from repro import telemetry
-from repro.fastpath.flat import FlatTree
+from repro.fastpath.flat import FlatWeights
 
 #: environment knob for the LRU bound (entries, not bytes)
 CACHE_SIZE_ENV = "REPRO_FASTPATH_CACHE"
@@ -85,7 +85,7 @@ class FastpathCache:
     # ------------------------------------------------------------------
     # shape interning
 
-    def shape_ids(self, ft: FlatTree) -> list[int]:
+    def shape_ids(self, ft: FlatWeights) -> list[int]:
         """Shape id of every node of ``ft``, indexed by node id.
 
         Children have larger ids than their parents, so one descending-id
@@ -99,11 +99,14 @@ class FastpathCache:
         offset = ft.child_offset
         child_ids = ft.child_ids
         shapes = [0] * n
+        hi = offset[n]
         for v in range(n - 1, -1, -1):
-            key = (
-                weight[v],
-                tuple(shapes[c] for c in child_ids[offset[v] : offset[v + 1]]),
-            )
+            lo = offset[v]
+            if lo == hi:  # leaf: most nodes, so spare them the comprehension
+                key = (weight[v], ())
+            else:
+                key = (weight[v], tuple([shapes[c] for c in child_ids[lo:hi]]))
+                hi = lo
             sid = intern.get(key)
             if sid is None:
                 sid = len(intern)
@@ -180,14 +183,14 @@ class FastpathCache:
 # does unlocked LRU bookkeeping (`hits += 1`, move_to_end) on every get,
 # so a single shared instance would race the moment two threads run
 # kernels concurrently (repro-lint rule CC003). Thread-local instances
-# keep the hot path completely lock-free — the kernels' bench floors
-# leave no room for a latch per lookup — while preserving full
+# keep the hot path completely lock-free — a latch per lookup would be
+# paid once per inner node — while preserving full
 # shape-reuse within each thread.
 _tls = threading.local()
 
 
 def default_cache() -> FastpathCache:
-    """This thread's cache, shared by all its fastpath partitioner runs."""
+    """This thread's cache, shared by all its DP partitioner runs."""
     cache = getattr(_tls, "cache", None)
     if cache is None:
         cache = _tls.cache = FastpathCache()

@@ -1,14 +1,14 @@
-"""Structure-of-arrays tree representation for the fast-path kernels.
+"""Structure-of-arrays tree representations for the DP kernels.
 
-A :class:`FlatTree` stores one ordered weighted tree as parallel arrays
-indexed by node id — parent, first-child, next-sibling, weight and
-subtree weight, plus a CSR (offset + flat id list) view of the children
-lists. The DP kernels in :mod:`repro.fastpath.kernels` iterate over these
-arrays with plain integer indexing instead of chasing ``TreeNode``
-attribute pointers, which is where most of the reference partitioners'
-constant factor goes.
+:class:`FlatWeights` is what the partitioning kernels read of a tree:
+node weights, subtree weights and a CSR (offset + flat id list) view of
+the children lists, indexed by node id. The DP loops in
+``repro.partition.{dhw,ghdw,fdw}`` iterate over these arrays with plain
+integer indexing instead of chasing ``TreeNode`` attribute pointers.
+:class:`FlatTree` adds the parent / first-child / next-sibling links and
+the payload columns that make the snapshot round-trippable.
 
-The arrays are built in **one pass** over ``tree.nodes``. That works
+The arrays are built by flat passes over ``tree.nodes``. That works
 because :class:`~repro.tree.node.Tree` assigns dense ids in creation
 order and every construction path (``add_child`` / ``insert_child``)
 creates parents before children, so ``parent[i] < i`` for every non-root
@@ -30,8 +30,8 @@ from repro.errors import TreeError
 from repro.tree.node import NodeKind, Tree
 
 
-class FlatTree:
-    """Immutable flat-array snapshot of a :class:`~repro.tree.node.Tree`.
+class FlatWeights:
+    """Weights and children of a :class:`~repro.tree.node.Tree` as arrays.
 
     Attributes (all indexed by node id; ``-1`` encodes "none"):
 
@@ -39,118 +39,81 @@ class FlatTree:
         parent id (``-1`` for the root),
     ``weight`` / ``subtree_weight``
         node weight ``w(v)`` and subtree weight ``W_T(v)``,
-    ``first_child`` / ``next_sibling``
-        classic binary-tree links in sibling order,
     ``child_offset`` / ``child_ids``
         CSR children view: the children of ``v`` in sibling order are
-        ``child_ids[child_offset[v]:child_offset[v + 1]]``,
-    ``labels`` / ``kinds`` / ``contents``
-        payload columns, kept so ``to_tree`` is an exact round trip.
+        ``child_ids[child_offset[v]:child_offset[v + 1]]``.
     """
 
-    __slots__ = (
-        "n",
-        "parent",
-        "weight",
-        "subtree_weight",
-        "first_child",
-        "next_sibling",
-        "child_offset",
-        "child_ids",
-        "labels",
-        "kinds",
-        "contents",
-    )
+    __slots__ = ("n", "parent", "weight", "subtree_weight", "child_offset", "child_ids")
 
-    def __init__(
-        self,
-        n: int,
-        parent: list[int],
-        weight: list[int],
-        subtree_weight: list[int],
-        first_child: list[int],
-        next_sibling: list[int],
-        child_offset: list[int],
-        child_ids: list[int],
-        labels: list[str],
-        kinds: list[int],
-        contents: list[Optional[str]],
-    ):
-        self.n = n
-        self.parent = parent
-        self.weight = weight
-        self.subtree_weight = subtree_weight
-        self.first_child = first_child
-        self.next_sibling = next_sibling
-        self.child_offset = child_offset
-        self.child_ids = child_ids
-        self.labels = labels
-        self.kinds = kinds
-        self.contents = contents
-
-    # ------------------------------------------------------------------
-    # construction
-
-    @classmethod
-    def from_tree(cls, tree: Tree) -> "FlatTree":
-        """Flatten ``tree`` into arrays in a single pass over its nodes."""
+    def __init__(self, tree: Tree):
         nodes = tree.nodes
-        n = len(nodes)
-        parent = [-1] * n
-        weight = [0] * n
-        first_child = [-1] * n
-        next_sibling = [-1] * n
-        child_offset = [0] * (n + 1)
+        n = self.n = len(nodes)
+        if [node.node_id for node in nodes] != list(range(n)):
+            raise TreeError("node ids are not dense positions in tree.nodes")
+        parent = self.parent = [-1]
+        parent += [node.parent.node_id for node in nodes[1:]]  # type: ignore[union-attr]
+        self.weight = [node.weight for node in nodes]
+        child_offset = self.child_offset = [0]
         child_ids: list[int] = []
-        labels: list[str] = []
-        kinds: list[int] = []
-        contents: list[Optional[str]] = []
-        for i, node in enumerate(nodes):
-            if node.node_id != i:
-                raise TreeError(f"node at position {i} has id {node.node_id}")
-            weight[i] = node.weight
-            labels.append(node.label)
-            kinds.append(int(node.kind))
-            contents.append(node.content)
-            par = node.parent
-            if par is not None:
-                pid = par.node_id
-                if pid >= i:
-                    raise TreeError(f"node {i} created before its parent {pid}")
-                parent[i] = pid
+        for node in nodes:
             children = node.children
             if children:
-                first_child[i] = children[0].node_id
-                prev = children[0].node_id
-                for child in children[1:]:
-                    cid = child.node_id
-                    next_sibling[prev] = cid
-                    prev = cid
-                child_ids.extend(c.node_id for c in children)
-            child_offset[i + 1] = len(child_ids)
-        subtree_weight = weight[:]
+                child_ids += [child.node_id for child in children]
+            child_offset.append(len(child_ids))
+        self.child_ids = child_ids
+        subtree_weight = self.subtree_weight = self.weight[:]
         for i in range(n - 1, 0, -1):
-            subtree_weight[parent[i]] += subtree_weight[i]
-        return cls(
-            n,
-            parent,
-            weight,
-            subtree_weight,
-            first_child,
-            next_sibling,
-            child_offset,
-            child_ids,
-            labels,
-            kinds,
-            contents,
-        )
+            pid = parent[i]
+            if pid >= i:
+                raise TreeError(f"node {i} created before its parent {pid}")
+            subtree_weight[pid] += subtree_weight[i]
 
-    # ------------------------------------------------------------------
-    # round trip
+    @classmethod
+    def from_tree(cls, tree: Tree):
+        """Flatten ``tree`` into arrays."""
+        return cls(tree)
 
     def children(self, node_id: int) -> list[int]:
         """The child ids of ``node_id`` in sibling order."""
         return self.child_ids[self.child_offset[node_id] : self.child_offset[node_id + 1]]
+
+    def __len__(self) -> int:
+        return self.n
+
+
+class FlatTree(FlatWeights):
+    """Round-trippable flat-array snapshot of a :class:`~repro.tree.node.Tree`.
+
+    Adds to :class:`FlatWeights`:
+
+    ``first_child`` / ``next_sibling``
+        classic binary-tree links in sibling order,
+    ``labels`` / ``kinds`` / ``contents``
+        payload columns, kept so ``to_tree`` is an exact round trip.
+    """
+
+    __slots__ = ("first_child", "next_sibling", "labels", "kinds", "contents")
+
+    def __init__(self, tree: Tree):
+        super().__init__(tree)
+        nodes = tree.nodes
+        self.labels: list[str] = [node.label for node in nodes]
+        self.kinds: list[int] = [int(node.kind) for node in nodes]
+        self.contents: list[Optional[str]] = [node.content for node in nodes]
+        first_child = self.first_child = [-1] * self.n
+        next_sibling = self.next_sibling = [-1] * self.n
+        offset = self.child_offset
+        child_ids = self.child_ids
+        for v in range(self.n):
+            lo, hi = offset[v], offset[v + 1]
+            if lo < hi:
+                first_child[v] = child_ids[lo]
+                for slot in range(lo + 1, hi):
+                    next_sibling[child_ids[slot - 1]] = child_ids[slot]
+
+    # ------------------------------------------------------------------
+    # round trip
 
     def to_tree(self) -> Tree:
         """Rebuild an equivalent :class:`Tree` (exact round trip).
@@ -195,9 +158,6 @@ class FlatTree:
                         pos += 1
                 tree.insert_child(par, pos, labels[i], weight[i], kind, contents[i])
         return tree
-
-    def __len__(self) -> int:
-        return self.n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FlatTree(n={self.n}, weight={self.subtree_weight[0] if self.n else 0})"

@@ -31,7 +31,7 @@ and the in-algorithm hooks are guarded no-ops otherwise.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro import telemetry
 from repro.errors import InfeasiblePartitioningError, ReproError
@@ -57,12 +57,6 @@ class Partitioner(abc.ABC):
     optimal: bool = False
     #: can the algorithm emit partitions before seeing the whole document?
     main_memory_friendly: bool = False
-    #: does the algorithm have a :mod:`repro.fastpath` kernel?
-    fastpath_capable: bool = False
-    #: tri-state fast-path preference: ``True``/``False`` pin it per
-    #: instance, ``None`` defers to the ``REPRO_FASTPATH`` environment
-    #: variable (see docs/PERFORMANCE.md)
-    fastpath: Optional[bool] = None
 
     def partition(
         self, tree: Tree, limit: int, *, check: Optional[bool] = None
@@ -93,12 +87,7 @@ class Partitioner(abc.ABC):
         """
         if limit < 1:
             raise ReproError(f"weight limit must be positive, got {limit}")
-        for node in tree:
-            if node.weight > limit:
-                raise InfeasiblePartitioningError(
-                    f"node {node.node_id} ({node.label!r}) weighs {node.weight} > K={limit}",
-                    node_id=node.node_id,
-                )
+        self._check_feasible(tree, limit)
         if check is None:
             from repro.analysis.contracts import contracts_enabled
 
@@ -125,28 +114,10 @@ class Partitioner(abc.ABC):
             explain.finish_run(self.name, tree, result, limit)
         return result
 
-    def _fastpath_active(self) -> bool:
-        """Should this call take the :mod:`repro.fastpath` kernel?
-
-        Only capable algorithms ever do; the instance's ``fastpath``
-        argument wins over the ``REPRO_FASTPATH`` environment variable.
-        The kernel produces bit-identical partitionings but not the
-        reference implementation's per-decision bookkeeping, so the fast
-        path auto-disables under an active explain scope and under
-        ``collect_stats=True`` (docs/PERFORMANCE.md lists the rules).
-        """
-        if not self.fastpath_capable:
-            return False
-        use = self.fastpath
-        if use is None:
-            from repro.fastpath import env_enabled
-
-            use = env_enabled()
-        if not use:
-            return False
-        if explain.explaining():
-            return False
-        return not getattr(self, "collect_stats", False)
+    def _check_feasible(self, tree: Tree, limit: int) -> None:
+        """Raise if some node outweighs ``limit``. The DP partitioners
+        flatten the tree anyway and check that weight column instead."""
+        reject_overweight(tree, tree.weights(), limit)
 
     def _emit_telemetry(self, tree: Tree, result: Partitioning, sp: telemetry.Span) -> None:
         """Record the per-algorithm metric set (telemetry is enabled).
@@ -170,6 +141,17 @@ class Partitioner(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+def reject_overweight(tree: Tree, weights: Sequence[int], limit: int) -> None:
+    """Raise :class:`InfeasiblePartitioningError` for the first node whose
+    weight (``weights`` is indexed by node id) exceeds ``limit``."""
+    if max(weights) > limit:
+        node = tree.node(next(i for i, w in enumerate(weights) if w > limit))
+        raise InfeasiblePartitioningError(
+            f"node {node.node_id} ({node.label!r}) weighs {node.weight} > K={limit}",
+            node_id=node.node_id,
+        )
 
 
 def register(cls: type[Partitioner]) -> type[Partitioner]:

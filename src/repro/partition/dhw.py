@@ -3,8 +3,9 @@
 DHW extends GHDW with the *nearly-optimal* subtree choice that makes the
 bottom-up strategy exact:
 
-1. For every node ``v`` (postorder) the flat DP computes the **optimal**
-   subtree solution ``D(v)`` over the children's collapsed weights.
+1. For every inner node ``v`` (children first) the flat DP computes the
+   **optimal** subtree solution ``D(v)`` over the children's collapsed
+   weights.
 2. Per Lemma 4, the **nearly-optimal** solution ``Q(v)`` — exactly one
    more partition, minimal root weight — is read from the *same* DP table
    at the inflated base root weight ``s_q = w(v) + K - opt_rw + 1``. The
@@ -26,6 +27,17 @@ bottom-up strategy exact:
 
 Worst-case time is ``O(n·K³)`` — linear in the number of nodes for fixed
 ``K``, which is the paper's headline result.
+
+The implementation runs over a :class:`~repro.fastpath.flat.FlatWeights`
+snapshot: one descending-id loop replaces the postorder walk (children
+have larger ids than parents, so every subtree solution exists before its
+parent consumes it) and all child access goes through the CSR arrays.
+Steps 1-3 are :func:`~repro.partition.flatdp.solve_shape`, and because
+its answer depends only on a subtree's *shape* (weights + sibling order),
+solved shapes are replayed from the
+:class:`~repro.fastpath.cache.FastpathCache` — the DP runs once per
+distinct shape, not once per node. ``tests/partition/oracles.py`` holds
+the per-node object-graph version this is pinned against.
 """
 
 from __future__ import annotations
@@ -34,26 +46,22 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import telemetry
+from repro.fastpath.cache import FastpathCache, default_cache
+from repro.fastpath.flat import FlatWeights
 from repro.obsv import explain
-from repro.partition.base import Partitioner, register
-from repro.partition.flatdp import (
-    CARD,
-    INF,
-    ROOTWEIGHT,
-    Entry,
-    FlatDP,
-    chain_intervals,
-    leaf_entry,
-)
+from repro.partition.base import Partitioner, register, reject_overweight
+from repro.partition.flatdp import DELTA, NEAR_CHAIN, OPT_CHAIN, OPT_RW, Record, solve_shape
 from repro.partition.interval import Partitioning, SiblingInterval
 from repro.tree.node import Tree
-from repro.tree.traversal import iter_postorder
 
 
 @dataclass
 class DHWStats:
     """Instrumentation: DP sizes and how often nearly-optimal solutions
-    exist / are actually used (experiments A2 and A3)."""
+    exist / are actually used (experiments A2 and A3). ``dp_cells`` and
+    ``s_values_per_node`` describe the tables actually built — one per
+    distinct shape the memo cache had not seen; the other fields are per
+    node of the tree."""
 
     dp_cells: int = 0
     inner_nodes: int = 0
@@ -69,7 +77,6 @@ class DHWPartitioner(Partitioner):
     name = "dhw"
     optimal = True
     main_memory_friendly = False  # decisions depend on the next-higher level
-    fastpath_capable = True
 
     def __init__(
         self,
@@ -81,134 +88,151 @@ class DHWPartitioner(Partitioner):
         first and last node of an interval are never downgraded to a
         nearly-optimal subtree partitioning (the paper proves an optimal
         one always suffices there), shrinking the candidate lists.
-        ``fastpath`` pins the :mod:`repro.fastpath` kernel on or off;
-        ``None`` defers to the ``REPRO_FASTPATH`` environment variable."""
+        ``collect_stats`` solves against a private, empty memo cache so
+        ``stats`` depends on the tree alone. ``fastpath`` is accepted and
+        ignored: the flat kernel is the only implementation."""
         self.collect_stats = collect_stats
         self.exclude_endpoints = exclude_endpoints
-        self.fastpath = fastpath
         self.stats = DHWStats()
 
-    def _partition(self, tree: Tree, limit: int) -> Partitioning:
-        if self._fastpath_active():
-            from repro.fastpath.kernels import dhw_fastpath
+    def _check_feasible(self, tree: Tree, limit: int) -> None:
+        """:func:`dhw_partition` checks the flattened weight column."""
 
-            return dhw_fastpath(tree, limit, exclude_endpoints=self.exclude_endpoints)
-        # Stats also feed telemetry (DP cells touched / Q-chains used per
+    def _partition(self, tree: Tree, limit: int) -> Partitioning:
+        # Stats also feed telemetry (DP cells computed / Q-chains used per
         # run) and explain notes, so collect them whenever a measurement
         # or provenance session is active.
-        collect = self.collect_stats or telemetry.enabled() or explain.explaining()
-        cells_before = self.stats.dp_cells
-        used_before = self.stats.nearly_optimal_used
-        n = len(tree)
-        opt_entries: list[Optional[Entry]] = [None] * n
-        near_entries: list[Optional[Entry]] = [None] * n
-        deltas = [0] * n
-
-        # Bottom-up DP pass (Fig. 7).
-        with telemetry.span("dhw.dp"):
-            self._dp_pass(tree, limit, opt_entries, near_entries, deltas, collect)
-
-        # Top-down extraction: choose D- or Q-chains per node.
-        with telemetry.span("dhw.extract"):
-            intervals = self._extract(tree, opt_entries, near_entries, collect)
-        if explain.explaining():
-            explain.note("dhw.dp_cells", self.stats.dp_cells - cells_before)
-            explain.note("dhw.nearly_optimal_exists", self.stats.nearly_optimal_exists)
-            explain.note(
-                "dhw.nearly_optimal_used", self.stats.nearly_optimal_used - used_before
-            )
-        telemetry.count("partition.dhw.dp_cells", self.stats.dp_cells - cells_before)
-        telemetry.count(
-            "partition.dhw.nearly_optimal_used",
-            self.stats.nearly_optimal_used - used_before,
+        explaining = explain.explaining()
+        stats = self.stats
+        collect = self.collect_stats or explaining or telemetry.enabled()
+        before = (stats.dp_cells, stats.nearly_optimal_exists, stats.nearly_optimal_used)
+        result = dhw_partition(
+            tree,
+            limit,
+            exclude_endpoints=self.exclude_endpoints,
+            cache=FastpathCache() if self.collect_stats else None,
+            stats=stats if collect else None,
         )
-        return Partitioning(intervals)
+        cells = stats.dp_cells - before[0]
+        used = stats.nearly_optimal_used - before[2]
+        if explaining:
+            explain.note("dhw.dp_cells", cells)
+            explain.note("dhw.nearly_optimal_exists", stats.nearly_optimal_exists - before[1])
+            explain.note("dhw.nearly_optimal_used", used)
+        telemetry.count("partition.dhw.dp_cells", cells)
+        telemetry.count("partition.dhw.nearly_optimal_used", used)
+        return result
 
-    def _dp_pass(
-        self,
-        tree: Tree,
-        limit: int,
-        opt_entries: list[Optional[Entry]],
-        near_entries: list[Optional[Entry]],
-        deltas: list[int],
-        collect: bool,
-    ) -> None:
-        """Fill the per-node optimal/nearly-optimal entry tables."""
-        for node in iter_postorder(tree):
-            nid = node.node_id
-            if not node.children:
-                opt_entries[nid] = leaf_entry(node.weight)
-                continue
-            child_weights = [opt_entries[c.node_id][ROOTWEIGHT] for c in node.children]
-            child_deltas = [deltas[c.node_id] for c in node.children]
-            dp = FlatDP(
-                child_weights,
+
+def dhw_partition(
+    tree: Tree,
+    limit: int,
+    *,
+    exclude_endpoints: bool = False,
+    cache: Optional[FastpathCache] = None,
+    stats: Optional[DHWStats] = None,
+) -> Partitioning:
+    """DHW proper: flatten, collapse bottom-up, extract top-down.
+
+    ``cache`` defaults to this thread's shared memo cache; ``stats`` is
+    charged for the run when given.
+    """
+    if cache is None:
+        cache = default_cache()
+    with telemetry.span("dhw.flatten"):
+        flat = FlatWeights.from_tree(tree)
+        reject_overweight(tree, flat.weight, limit)
+        shapes = cache.shape_ids(flat)
+    with telemetry.span("dhw.dp"):
+        records = _collapse(flat, shapes, limit, exclude_endpoints, cache, stats)
+    with telemetry.span("dhw.extract"):
+        intervals = _extract(flat, records, stats)
+    cache.flush_counters()
+    return Partitioning(intervals)
+
+
+def _collapse(
+    flat: FlatWeights,
+    shapes: list[int],
+    limit: int,
+    exclude_endpoints: bool,
+    cache: FastpathCache,
+    stats: Optional[DHWStats],
+) -> list[Optional[Record]]:
+    """Per-node solution records, children before parents (Fig. 7);
+    leaves (empty chain, root weight ``w(v)``) get none."""
+    n = flat.n
+    weight = flat.weight
+    offset = flat.child_offset
+    child_ids = flat.child_ids
+    opt_rw = [0] * n
+    delta = [0] * n
+    records: list[Optional[Record]] = [None] * n
+    cache_get = cache.get
+    cache_put = cache.put
+    for v in range(n - 1, -1, -1):
+        lo = offset[v]
+        hi = offset[v + 1]
+        if lo == hi:
+            opt_rw[v] = weight[v]
+            continue
+        key = ("dhw", shapes[v], limit, exclude_endpoints)
+        rec = cache_get(key)
+        if rec is None:
+            children = child_ids[lo:hi]
+            rec = solve_shape(
+                weight[v],
+                [opt_rw[c] for c in children],
                 limit,
-                deltas=child_deltas,
-                exclude_endpoints=self.exclude_endpoints,
+                [delta[c] for c in children],
+                exclude_endpoints,
+                stats,
             )
-            opt = dp.top_entry(node.weight)
-            assert opt[CARD] is not INF, "DHW subproblem must be feasible"
-            opt_entries[nid] = opt
+            cache_put(key, rec)
+        records[v] = rec
+        opt_rw[v] = rec[OPT_RW]
+        delta[v] = rec[DELTA]
+    if stats is not None:
+        inner = [rec for rec in records if rec is not None]
+        stats.inner_nodes += len(inner)
+        stats.nearly_optimal_exists += sum(rec[NEAR_CHAIN] is not None for rec in inner)
+    return records
 
-            # Lemma 4: the nearly-optimal variant from the inflated base.
-            s_q = node.weight + limit - opt[ROOTWEIGHT] + 1
-            if s_q <= limit:
-                near = dp.top_entry(s_q)
-                if near[CARD] is not INF:
-                    # A genuine nearly-minimal solution has exactly one
-                    # extra partition; the lean argument of Lemma 4 rules
-                    # out anything smaller, and anything larger is not
-                    # nearly minimal and must be discarded.
-                    assert near[CARD] >= opt[CARD] + 1
-                    if near[CARD] == opt[CARD] + 1:
-                        near_entries[nid] = near
-                        deltas[nid] = limit + 1 - near[ROOTWEIGHT]
-                        assert deltas[nid] > 0
-            if collect:
-                self.stats.dp_cells += dp.cells_computed
-                self.stats.inner_nodes += 1
-                if near_entries[nid] is not None:
-                    self.stats.nearly_optimal_exists += 1
-                distinct_s: set[int] = set()
-                for col in dp.needed:
-                    distinct_s |= col
-                self.stats.s_values_per_node.append(len(distinct_s))
 
-    def _extract(
-        self,
-        tree: Tree,
-        opt_entries: list[Optional[Entry]],
-        near_entries: list[Optional[Entry]],
-        collect: bool,
-    ) -> set[SiblingInterval]:
-        """Walk top-down choosing D- or Q-chains (step 5 of the scheme)."""
-        intervals = {SiblingInterval(tree.root.node_id, tree.root.node_id)}
-        stack: list[tuple[int, bool]] = [(tree.root.node_id, False)]
-        while stack:
-            nid, use_near = stack.pop()
-            node = tree.node(nid)
-            entry = near_entries[nid] if use_near else opt_entries[nid]
-            assert entry is not None
-            if use_near and collect:
-                self.stats.nearly_optimal_used += 1
-            near_children: set[int] = set()
-            for begin, end, nearly in chain_intervals(entry):
-                intervals.add(
-                    SiblingInterval(
-                        node.children[begin].node_id, node.children[end].node_id
-                    )
+def _extract(
+    flat: FlatWeights, records: list[Optional[Record]], stats: Optional[DHWStats]
+) -> set[SiblingInterval]:
+    """Walk top-down choosing D- or Q-chains (step 5 of the scheme)."""
+    offset = flat.child_offset
+    child_ids = flat.child_ids
+    explaining = explain.explaining()
+    near_used = 0
+    intervals = {SiblingInterval(0, 0)}
+    stack: list[tuple[int, bool]] = [(0, False)]
+    while stack:
+        v, use_near = stack.pop()
+        rec = records[v]
+        if rec is None:  # leaf
+            continue
+        chain = rec[NEAR_CHAIN] if use_near else rec[OPT_CHAIN]
+        assert chain is not None
+        near_used += use_near
+        children = child_ids[offset[v] : offset[v + 1]]
+        near_children: set[int] = set()
+        for begin, end, nearly in chain:
+            intervals.add(SiblingInterval(children[begin], children[end]))
+            near_children.update(nearly)
+            if explaining:
+                explain.decision(
+                    children[begin],
+                    "dhw-dp",
+                    parent=v,
+                    children=end - begin + 1,
+                    q_chain=use_near,
+                    downgraded=len(nearly),
                 )
-                near_children.update(nearly)
-                if explain.explaining():
-                    explain.decision(
-                        node.children[begin].node_id,
-                        "dhw-dp",
-                        parent=node.node_id,
-                        children=end - begin + 1,
-                        q_chain=use_near,
-                        downgraded=len(nearly),
-                    )
-            for idx, child in enumerate(node.children):
-                stack.append((child.node_id, idx in near_children))
-        return intervals
+        for idx, child in enumerate(children):
+            stack.append((child, idx in near_children))
+    if stats is not None:
+        stats.nearly_optimal_used += near_used
+    return intervals

@@ -12,54 +12,49 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import InfeasiblePartitioningError, TreeError
+from repro.errors import TreeError
+from repro.fastpath.cache import FastpathCache, default_cache
+from repro.fastpath.flat import FlatWeights
 from repro.obsv import explain
-from repro.partition.base import Partitioner, register
-from repro.partition.flatdp import INFEASIBLE_ENTRY, FlatDP, chain_intervals
+from repro.partition.base import Partitioner, register, reject_overweight
+from repro.partition.flatdp import OPT_CHAIN, solve_shape
 from repro.partition.interval import Partitioning, SiblingInterval
 from repro.tree.node import Tree
 
 
-def fdw_partition_flat(tree: Tree, limit: int) -> Partitioning:
+def fdw_partition_flat(
+    tree: Tree, limit: int, *, cache: Optional[FastpathCache] = None
+) -> Partitioning:
     """Optimal tree sibling partitioning of a flat tree.
 
     Returns the partitioning; raises :class:`TreeError` if the tree is not
     flat and :class:`InfeasiblePartitioningError` if a node exceeds the
-    limit.
+    limit. Solved shapes are shared with GHDW through ``cache`` (default:
+    this thread's memo cache) — on a flat tree both run the identical
+    plain DP over the leaf weights.
     """
-    root = tree.root
-    for child in root.children:
-        if child.children:
-            raise TreeError("fdw_partition_flat requires a flat tree (all children are leaves)")
-    if root.weight > limit:
-        raise InfeasiblePartitioningError(
-            f"root weighs {root.weight} > K={limit}", node_id=root.node_id
-        )
-    for child in root.children:
-        if child.weight > limit:
-            raise InfeasiblePartitioningError(
-                f"node {child.node_id} weighs {child.weight} > K={limit}",
-                node_id=child.node_id,
-            )
-    dp = FlatDP([c.weight for c in root.children], limit)
-    entry = dp.top_entry(root.weight)
-    if entry is INFEASIBLE_ENTRY:  # cannot happen after the weight checks
-        raise InfeasiblePartitioningError("no feasible flat partitioning exists")
-    intervals = {SiblingInterval(root.node_id, root.node_id)}
-    for begin, end, _nearly in chain_intervals(entry):
-        intervals.add(
-            SiblingInterval(root.children[begin].node_id, root.children[end].node_id)
-        )
-        if explain.explaining():
-            explain.decision(
-                root.children[begin].node_id,
-                "fdw-dp",
-                begin=begin,
-                end=end,
-                children=end - begin + 1,
-            )
-    if explain.explaining():
-        explain.note("fdw.dp_cells", dp.cells_computed)
+    if cache is None:
+        cache = default_cache()
+    flat = FlatWeights.from_tree(tree)
+    reject_overweight(tree, flat.weight, limit)
+    if flat.child_offset[1] != flat.n - 1:
+        raise TreeError("fdw_partition_flat requires a flat tree (all children are leaves)")
+    intervals = {SiblingInterval(0, 0)}
+    if flat.subtree_weight[0] > limit:  # else everything shares the root partition
+        children = flat.children(0)
+        key = ("ghdw", cache.shape_ids(flat)[0], limit)
+        rec = cache.get(key)
+        if rec is None:
+            rec = solve_shape(flat.weight[0], [flat.weight[c] for c in children], limit)
+            cache.put(key, rec)
+        explaining = explain.explaining()
+        for begin, end, _nearly in rec[OPT_CHAIN]:
+            intervals.add(SiblingInterval(children[begin], children[end]))
+            if explaining:
+                explain.decision(
+                    children[begin], "fdw-dp", begin=begin, end=end, children=end - begin + 1
+                )
+        cache.flush_counters()
     return Partitioning(intervals)
 
 
@@ -70,16 +65,13 @@ class FDWPartitioner(Partitioner):
     name = "fdw"
     optimal = True  # on its input class (flat trees)
     main_memory_friendly = False
-    fastpath_capable = True
 
     def __init__(self, fastpath: Optional[bool] = None):
-        """``fastpath`` pins the :mod:`repro.fastpath` kernel on or off;
-        ``None`` defers to the ``REPRO_FASTPATH`` environment variable."""
-        self.fastpath = fastpath
+        """``fastpath`` is accepted and ignored: the flat kernel is the
+        only implementation."""
+
+    def _check_feasible(self, tree: Tree, limit: int) -> None:
+        """:func:`fdw_partition_flat` checks the flattened weight column."""
 
     def _partition(self, tree: Tree, limit: int) -> Partitioning:
-        if self._fastpath_active():
-            from repro.fastpath.kernels import fdw_fastpath
-
-            return fdw_fastpath(tree, limit)
         return fdw_partition_flat(tree, limit)

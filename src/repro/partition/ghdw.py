@@ -10,6 +10,14 @@ up. DHW repairs exactly this deficiency.
 
 Complexity: ``O(n·K²)`` worst case; with the memoized table the practical
 cost is far lower (only reachable ``s`` values are materialized).
+
+Like DHW this runs over a :class:`~repro.fastpath.flat.FlatWeights`
+snapshot with one descending-id loop and replays solved shapes from the
+:class:`~repro.fastpath.cache.FastpathCache`. A node whose *subtree*
+weighs at most ``K`` never reaches the DP: its optimal solution is
+provably the empty chain with root weight ``W_T(v)`` (candidate 1 of
+Lemma 2 applies at every step), and the same holds for everything below
+it. ``tests/partition/oracles.py`` holds the per-node version.
 """
 
 from __future__ import annotations
@@ -18,17 +26,21 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import telemetry
+from repro.fastpath.cache import FastpathCache, default_cache
+from repro.fastpath.flat import FlatWeights
 from repro.obsv import explain
-from repro.partition.base import Partitioner, register
-from repro.partition.flatdp import CARD, INF, ROOTWEIGHT, FlatDP, chain_intervals, leaf_entry
+from repro.partition.base import Partitioner, register, reject_overweight
+from repro.partition.flatdp import OPT_CHAIN, OPT_RW, solve_shape
 from repro.partition.interval import Partitioning, SiblingInterval
 from repro.tree.node import Tree
-from repro.tree.traversal import iter_postorder
 
 
 @dataclass
 class GHDWStats:
-    """Instrumentation for the memoization ablation (experiment A2)."""
+    """Instrumentation for the memoization ablation (experiment A2).
+    ``dp_cells`` and ``s_values_per_node`` describe the tables actually
+    built — one per distinct over-capacity shape the memo cache had not
+    seen; ``inner_nodes`` counts the tree's inner nodes."""
 
     dp_cells: int = 0
     inner_nodes: int = 0
@@ -42,57 +54,93 @@ class GHDWPartitioner(Partitioner):
     name = "ghdw"
     optimal = False
     main_memory_friendly = True  # subtrees are finalized as soon as they close
-    fastpath_capable = True
 
     def __init__(self, collect_stats: bool = False, fastpath: Optional[bool] = None):
-        """``fastpath`` pins the :mod:`repro.fastpath` kernel on or off;
-        ``None`` defers to the ``REPRO_FASTPATH`` environment variable."""
+        """``collect_stats`` solves against a private, empty memo cache so
+        ``stats`` depends on the tree alone. ``fastpath`` is accepted and
+        ignored: the flat kernel is the only implementation."""
         self.collect_stats = collect_stats
-        self.fastpath = fastpath
         self.stats = GHDWStats()
 
-    def _partition(self, tree: Tree, limit: int) -> Partitioning:
-        if self._fastpath_active():
-            from repro.fastpath.kernels import ghdw_fastpath
+    def _check_feasible(self, tree: Tree, limit: int) -> None:
+        """:func:`ghdw_partition` checks the flattened weight column."""
 
-            return ghdw_fastpath(tree, limit)
-        # Stats also feed telemetry (DP cells touched per run).
-        collect = self.collect_stats or telemetry.enabled()
+    def _partition(self, tree: Tree, limit: int) -> Partitioning:
+        # Stats also feed telemetry and explain notes (DP cells per run).
+        explaining = explain.explaining()
+        collect = self.collect_stats or explaining or telemetry.enabled()
         cells_before = self.stats.dp_cells
-        n = len(tree)
-        entries = [None] * n  # optimal-chain entry per node
-        intervals = {SiblingInterval(tree.root.node_id, tree.root.node_id)}
-        for node in iter_postorder(tree):
-            if not node.children:
-                entries[node.node_id] = leaf_entry(node.weight)
-                continue
-            child_weights = [entries[c.node_id][ROOTWEIGHT] for c in node.children]
-            dp = FlatDP(child_weights, limit)
-            entry = dp.top_entry(node.weight)
-            assert entry[CARD] is not INF, "GHDW subproblem must be feasible"
-            entries[node.node_id] = entry
-            for begin, end, _nearly in chain_intervals(entry):
-                intervals.add(
-                    SiblingInterval(
-                        node.children[begin].node_id, node.children[end].node_id
-                    )
+        result = ghdw_partition(
+            tree,
+            limit,
+            cache=FastpathCache() if self.collect_stats else None,
+            stats=self.stats if collect else None,
+        )
+        cells = self.stats.dp_cells - cells_before
+        if explaining:
+            explain.note("ghdw.dp_cells_total", cells)
+        telemetry.count("partition.ghdw.dp_cells", cells)
+        return result
+
+
+def ghdw_partition(
+    tree: Tree,
+    limit: int,
+    *,
+    cache: Optional[FastpathCache] = None,
+    stats: Optional[GHDWStats] = None,
+) -> Partitioning:
+    """GHDW proper: flatten, then one bottom-up collapse that emits its
+    intervals inline (``cache`` / ``stats`` as for ``dhw_partition``)."""
+    if cache is None:
+        cache = default_cache()
+    with telemetry.span("ghdw.flatten"):
+        flat = FlatWeights.from_tree(tree)
+        reject_overweight(tree, flat.weight, limit)
+        shapes = cache.shape_ids(flat)
+    with telemetry.span("ghdw.dp"):
+        intervals = _collapse(flat, shapes, limit, cache, stats)
+    cache.flush_counters()
+    return Partitioning(intervals)
+
+
+def _collapse(
+    flat: FlatWeights,
+    shapes: list[int],
+    limit: int,
+    cache: FastpathCache,
+    stats: Optional[GHDWStats],
+) -> set[SiblingInterval]:
+    n = flat.n
+    weight = flat.weight
+    subtree_weight = flat.subtree_weight
+    offset = flat.child_offset
+    child_ids = flat.child_ids
+    explaining = explain.explaining()
+    opt_rw = [0] * n
+    intervals = {SiblingInterval(0, 0)}
+    cache_get = cache.get
+    cache_put = cache.put
+    for v in range(n - 1, -1, -1):
+        if subtree_weight[v] <= limit:
+            # Trivial fit: the whole subtree joins one partition; no
+            # descendant of v emits an interval either (their subtrees
+            # fit a fortiori), so they all take this branch.
+            opt_rw[v] = subtree_weight[v]
+            continue
+        children = child_ids[offset[v] : offset[v + 1]]
+        key = ("ghdw", shapes[v], limit)
+        rec = cache_get(key)
+        if rec is None:
+            rec = solve_shape(weight[v], [opt_rw[c] for c in children], limit, stats=stats)
+            cache_put(key, rec)
+        opt_rw[v] = rec[OPT_RW]
+        for begin, end, _nearly in rec[OPT_CHAIN]:
+            intervals.add(SiblingInterval(children[begin], children[end]))
+            if explaining:
+                explain.decision(
+                    children[begin], "ghdw-dp", parent=v, children=end - begin + 1
                 )
-                if explain.explaining():
-                    explain.decision(
-                        node.children[begin].node_id,
-                        "ghdw-dp",
-                        parent=node.node_id,
-                        children=end - begin + 1,
-                        dp_cells=dp.cells_computed,
-                    )
-            if explain.explaining():
-                explain.add_note("ghdw.dp_cells_total", dp.cells_computed)
-            if collect:
-                self.stats.dp_cells += dp.cells_computed
-                self.stats.inner_nodes += 1
-                distinct_s: set[int] = set()
-                for col in dp.needed:
-                    distinct_s |= col
-                self.stats.s_values_per_node.append(len(distinct_s))
-        telemetry.count("partition.ghdw.dp_cells", self.stats.dp_cells - cells_before)
-        return Partitioning(intervals)
+    if stats is not None:
+        stats.inner_nodes += sum(offset[v] < offset[v + 1] for v in range(n))
+    return intervals

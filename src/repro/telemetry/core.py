@@ -41,7 +41,7 @@ from time import perf_counter
 from typing import Any, Iterator, Optional, Protocol, TextIO
 
 
-def _env_enabled() -> bool:
+def _enabled_by_env() -> bool:
     return os.environ.get("REPRO_TELEMETRY", "").strip().lower() not in (
         "",
         "0",
@@ -52,7 +52,7 @@ def _env_enabled() -> bool:
 
 
 #: global on/off switch — the no-op fast path checks this first
-_enabled: bool = _env_enabled()
+_enabled: bool = _enabled_by_env()
 
 
 def enabled() -> bool:

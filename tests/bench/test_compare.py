@@ -101,39 +101,6 @@ def make_baseline() -> dict:
                     "failures": [],
                 },
             },
-            "fastpath": {
-                "scale": 0.25,
-                "repeats": 3,
-                "copies": 400,
-                "rows": [
-                    {
-                        "workload": "duplicated_subtrees",
-                        "document": "duplicated",
-                        "nodes": 16001,
-                        "limit": 23,
-                        "algorithm": "dhw",
-                        "reference_seconds": 0.30,
-                        "fastpath_seconds": 0.06,
-                        "speedup": 5.0,
-                        "identical": True,
-                        "cache_hit_ratio": 0.99,
-                        "cache_entries": 80,
-                    },
-                    {
-                        "workload": "table2",
-                        "document": "doc.xml",
-                        "nodes": 100,
-                        "limit": 256,
-                        "algorithm": "dhw",
-                        "reference_seconds": 1.0,
-                        "fastpath_seconds": 0.05,
-                        "speedup": 20.0,
-                        "identical": True,
-                        "cache_hit_ratio": 0.95,
-                        "cache_entries": 40,
-                    },
-                ],
-            },
         },
     }
 
@@ -263,51 +230,6 @@ class TestMainExitCodes:
         assert compare.main([str(base), str(tmp_path / "absent.json")]) == 2
 
 
-class TestFastpathGate:
-    def test_speedup_floor_enforced_on_full_baselines(self):
-        base = make_baseline()
-        new = copy.deepcopy(base)
-        row = new["scenarios"]["fastpath"]["rows"][0]
-        row["speedup"] = 1.5  # duplicated-subtree dhw floor is 2.0
-        cmp = compare.compare_baselines(base, new)
-        assert any("speedup" in r and "2.0x floor" in r for r in cmp.regressions)
-
-    def test_table2_floor_is_lower(self):
-        base = make_baseline()
-        new = copy.deepcopy(base)
-        row = new["scenarios"]["fastpath"]["rows"][1]
-        row["speedup"] = 1.4  # above the 1.3 table2 floor
-        cmp = compare.compare_baselines(base, new)
-        assert cmp.regressions == []
-        row["speedup"] = 1.2
-        cmp = compare.compare_baselines(base, new)
-        assert any("1.3x floor" in r for r in cmp.regressions)
-
-    def test_quick_baselines_skip_the_floors(self):
-        base = make_baseline()
-        base["quick"] = True
-        new = copy.deepcopy(base)
-        new["scenarios"]["fastpath"]["rows"][0]["speedup"] = 0.5
-        cmp = compare.compare_baselines(base, new)
-        assert cmp.regressions == []
-
-    def test_non_identical_output_always_fails(self):
-        base = make_baseline()
-        base["quick"] = True  # even quick runs must be bit-identical
-        new = copy.deepcopy(base)
-        new["scenarios"]["fastpath"]["rows"][1]["identical"] = False
-        cmp = compare.compare_baselines(base, new)
-        assert any("identical" in r for r in cmp.regressions)
-
-    def test_gate_runs_even_when_old_lacks_the_scenario(self):
-        base = make_baseline()
-        del base["scenarios"]["fastpath"]  # e.g. comparing against PR4
-        new = make_baseline()
-        new["scenarios"]["fastpath"]["rows"][0]["speedup"] = 1.0
-        cmp = compare.compare_baselines(base, new)
-        assert any("speedup" in r for r in cmp.regressions)
-
-
 class TestRecoveryGate:
     def test_wal_overhead_budget_enforced_on_full_baselines(self):
         base = make_baseline()
@@ -378,19 +300,18 @@ class TestCommittedBaselines:
         assert fraction < compare.OVERHEAD_BUDGET
 
     def test_committed_baseline_clears_fastpath_floors(self):
+        # History: BENCH_PR5 is the last baseline with a reference path to
+        # time the kernel against (dhw >= 2x on the duplicated-subtree
+        # document, >= 1.3x on the corpus); later harness runs have no
+        # such scenario and compare.py no longer gates one.
         new = json.loads((REPO_ROOT / "BENCH_PR5.json").read_text())
         rows = new["scenarios"]["fastpath"]["rows"]
         assert rows, "committed baseline must include fastpath rows"
         for row in rows:
             assert row["identical"], row
-            if row["algorithm"] != "dhw":
-                continue
-            floor = (
-                compare.FASTPATH_DUP_FLOOR
-                if row["workload"] == "duplicated_subtrees"
-                else compare.FASTPATH_TABLE2_FLOOR
-            )
-            assert row["speedup"] >= floor, row
+            if row["algorithm"] == "dhw":
+                floor = 2.0 if row["workload"] == "duplicated_subtrees" else 1.3
+                assert row["speedup"] >= floor, row
 
     def test_committed_recovery_baseline_passes_its_gate(self):
         assert compare.check_recovery_baseline(REPO_ROOT / "BENCH_PR8.json") == 0

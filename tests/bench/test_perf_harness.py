@@ -14,7 +14,7 @@ HARNESS = REPO_ROOT / "benchmarks" / "harness.py"
 BASELINE = REPO_ROOT / "BENCH_PR5.json"
 
 SCHEMA = "repro-bench/1"
-SCENARIOS = {"table1_table2", "table3", "bulkload", "overhead", "fastpath"}
+SCENARIOS = {"table1_table2", "table3", "bulkload", "overhead"}
 TABLE_ALGORITHMS = {"dhw", "ghdw", "ekm", "rs", "dfs", "km", "bfs"}
 
 
@@ -26,7 +26,9 @@ class TestCommittedBaseline:
 
     def test_schema_and_scenarios(self, baseline):
         assert baseline["schema"] == SCHEMA
-        assert set(baseline["scenarios"]) == SCENARIOS
+        # the committed file predates the single kernel: it also carries
+        # the retired kernel-vs-reference scenario
+        assert set(baseline["scenarios"]) == SCENARIOS | {"fastpath"}
         assert baseline["quick"] is False
 
     def test_environment_fingerprint(self, baseline):

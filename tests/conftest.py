@@ -20,6 +20,17 @@ FIG6_SPEC = ("a", 5, [("b", 1), ("c", 1, [("d", 2), ("e", 2)]), ("f", 1)])
 FIG9_SPEC = ("a", 2, [("b", 4), ("c", 1, [("d", 1), ("e", 1)])])
 
 
+@pytest.fixture(autouse=True)
+def _fresh_default_cache():
+    """Isolate every test from this thread's DP shape cache: what a run
+    computes (DP cells, cache hits) must not depend on test order."""
+    from repro.fastpath.cache import clear_default_cache
+
+    clear_default_cache()
+    yield
+    clear_default_cache()
+
+
 @pytest.fixture
 def fig3_tree():
     return tree_from_spec(FIG3_SPEC)

@@ -2,18 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.fastpath.cache import clear_default_cache
-
-
-@pytest.fixture(autouse=True)
-def _fresh_default_cache():
-    """Isolate every test from the process-wide shape cache."""
-    clear_default_cache()
-    yield
-    clear_default_cache()
-
 
 def tree_signature(tree):
     """Everything that makes two trees 'the same document'."""

@@ -1,6 +1,7 @@
-"""The fast-path contract: kernels are bit-identical to the reference.
+"""The kernel contract: bit-identical to the reference implementations.
 
-Every test runs the same (tree, K) through both code paths with
+Every test runs the same (tree, K) through the production partitioner
+and through its legible oracle (``tests/partition/oracles.py``) with
 ``check=True`` (full runtime contract verification) and asserts the
 partitionings — interval sets, not just cardinalities — are equal.
 """
@@ -18,11 +19,18 @@ from repro.datasets.random_trees import (
 )
 from repro.errors import TreeError
 from repro.fastpath.cache import FastpathCache
-from repro.fastpath.kernels import dhw_fastpath, fdw_fastpath, ghdw_fastpath
-from repro.partition.dhw import DHWPartitioner
-from repro.partition.fdw import FDWPartitioner
-from repro.partition.ghdw import GHDWPartitioner
+from repro.partition.dhw import DHWPartitioner, dhw_partition
+from repro.partition.fdw import FDWPartitioner, fdw_partition_flat
+from repro.partition.ghdw import GHDWPartitioner, ghdw_partition
 from repro.tree.builders import chain_tree, flat_tree, tree_from_spec
+
+from tests.partition.oracles import ReferenceDHW, ReferenceFDW, ReferenceGHDW
+
+ORACLES = {
+    DHWPartitioner: ReferenceDHW,
+    GHDWPartitioner: ReferenceGHDW,
+    FDWPartitioner: ReferenceFDW,
+}
 
 FIG3_SPEC = (
     "a",
@@ -33,10 +41,8 @@ FIG6_SPEC = ("a", 5, [("b", 1), ("c", 1, [("d", 2), ("e", 2)]), ("f", 1)])
 
 
 def both(partitioner_cls, tree, limit, **kwargs):
-    reference = partitioner_cls(fastpath=False, **kwargs).partition(
-        tree, limit, check=True
-    )
-    fast = partitioner_cls(fastpath=True, **kwargs).partition(tree, limit, check=True)
+    reference = ORACLES[partitioner_cls](**kwargs).partition(tree, limit, check=True)
+    fast = partitioner_cls(**kwargs).partition(tree, limit, check=True)
     return reference, fast
 
 
@@ -89,12 +95,17 @@ class TestShapes:
                 assert fast == reference
 
     def test_deep_chain_5000(self):
-        # The reference walks this with an iterative postorder; the kernel
+        # The oracle walks this with an iterative postorder; the kernel
         # must match without hitting any recursion limit either.
         tree = chain_tree([1] * 5000)
         for cls in (DHWPartitioner, GHDWPartitioner):
             reference, fast = both(cls, tree, 7)
             assert fast == reference
+
+    def test_deep_chain_10000_checked(self):
+        tree = chain_tree([1] * 10000)
+        for cls in (DHWPartitioner, GHDWPartitioner):
+            assert cls().partition(tree, 7, check=True).cardinality == 1429
 
     def test_wide_fanout(self):
         tree = star_tree(3000, child_weight=2, root_weight=1)
@@ -124,38 +135,38 @@ class TestCacheBehaviour:
     def test_duplicated_shapes_hit_the_cache(self):
         tree = duplicated_subtree_tree(100, template_size=25, seed=4)
         cache = FastpathCache()
-        first = dhw_fastpath(tree, 23, cache=cache)
+        first = dhw_partition(tree, 23, cache=cache)
         assert cache.hit_ratio > 0.9, "repeated templates must replay from cache"
         # A second run over the same document is all hits.
         misses_before = cache.misses
-        second = dhw_fastpath(tree, 23, cache=cache)
+        second = dhw_partition(tree, 23, cache=cache)
         assert second == first
         assert cache.misses == misses_before
 
     def test_modes_do_not_cross_pollute(self):
         tree = duplicated_subtree_tree(20, template_size=15, seed=6)
         cache = FastpathCache()
-        assert dhw_fastpath(tree, 19, cache=cache) == DHWPartitioner(
-            fastpath=False
-        ).partition(tree, 19, check=True)
-        assert ghdw_fastpath(tree, 19, cache=cache) == GHDWPartitioner(
-            fastpath=False
-        ).partition(tree, 19, check=True)
+        assert dhw_partition(tree, 19, cache=cache) == ReferenceDHW().partition(
+            tree, 19, check=True
+        )
+        assert ghdw_partition(tree, 19, cache=cache) == ReferenceGHDW().partition(
+            tree, 19, check=True
+        )
 
     def test_different_limits_are_distinct_entries(self):
         tree = duplicated_subtree_tree(10, template_size=10, seed=2)
         cache = FastpathCache()
-        a9 = dhw_fastpath(tree, 9, cache=cache)
-        a14 = dhw_fastpath(tree, 14, cache=cache)
-        assert a9 == DHWPartitioner(fastpath=False).partition(tree, 9)
-        assert a14 == DHWPartitioner(fastpath=False).partition(tree, 14)
+        a9 = dhw_partition(tree, 9, cache=cache)
+        a14 = dhw_partition(tree, 14, cache=cache)
+        assert a9 == ReferenceDHW().partition(tree, 9)
+        assert a14 == ReferenceDHW().partition(tree, 14)
 
     def test_tiny_cache_still_correct(self):
         # Constant eviction pressure must never change the answer.
         tree = duplicated_subtree_tree(30, template_size=15, seed=8)
         cache = FastpathCache(max_entries=2)
-        result = dhw_fastpath(tree, 17, cache=cache)
-        assert result == DHWPartitioner(fastpath=False).partition(tree, 17, check=True)
+        result = dhw_partition(tree, 17, cache=cache)
+        assert result == ReferenceDHW().partition(tree, 17, check=True)
         assert cache.evictions > 0
 
 
@@ -163,6 +174,6 @@ class TestFdwErrors:
     def test_non_flat_tree_rejected(self):
         tree = chain_tree([1, 1, 1])
         with pytest.raises(TreeError):
-            FDWPartitioner(fastpath=True).partition(tree, 5)
+            FDWPartitioner().partition(tree, 5)
         with pytest.raises(TreeError):
-            fdw_fastpath(tree, 5)
+            fdw_partition_flat(tree, 5)

@@ -2,19 +2,23 @@
 
 import random
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.partition.flatdp import (
     CARD,
     INFEASIBLE_ENTRY,
     FlatDP,
     ROOTWEIGHT,
     chain_intervals,
-    leaf_entry,
+    solve_shape,
 )
 
 
 class TestEntries:
     def test_leaf_entry(self):
-        entry = leaf_entry(7)
+        # a leaf's solution is the childless table's base entry
+        entry = FlatDP([], limit=10).top_entry(7)
         assert entry[CARD] == 0
         assert entry[ROOTWEIGHT] == 7
         assert chain_intervals(entry) == []
@@ -109,3 +113,48 @@ class TestRandomizedAgainstBrute:
             # +1: the oracle counts the root interval, the DP does not
             assert entry[CARD] + 1 == expected[0]
             assert entry[ROOTWEIGHT] == expected[1]
+
+
+def table_record(own, weights, limit, deltas, exclude_endpoints):
+    """The DHW record read off the Lemma-2 table alone (Lemma 4 as the
+    paper states it) — what ``solve_shape`` may shortcut but not change."""
+    dp = FlatDP(weights, limit, deltas=deltas, exclude_endpoints=exclude_endpoints)
+    opt = dp.top_entry(own)
+    near_chain, delta = None, 0
+    near = dp.top_entry(own + limit - opt[ROOTWEIGHT] + 1)
+    if near[CARD] == opt[CARD] + 1:
+        near_chain = tuple(chain_intervals(near))
+        delta = limit + 1 - near[ROOTWEIGHT]
+    return (tuple(chain_intervals(opt)), opt[ROOTWEIGHT], near_chain, delta)
+
+
+class TestSolveShape:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        own=st.integers(1, 6),
+        children=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=8),
+        slack=st.integers(0, 6),
+        exclude_endpoints=st.booleans(),
+    )
+    def test_fitting_shapes_match_the_table(self, own, children, slack, exclude_endpoints):
+        """Shapes whose collapsed weight fits K take the closed-form
+        Lemma-4 record (all child weights positive) or the table (a
+        zero-weight child ties); either way the record is the table's."""
+        weights = [w for w, _ in children]
+        deltas = [min(d, w) for w, d in children]  # ΔW never exceeds the weight
+        limit = own + sum(weights) + slack
+        got = solve_shape(own, weights, limit, deltas, exclude_endpoints)
+        assert got == table_record(own, weights, limit, deltas, exclude_endpoints)
+        assert got[0] == () and got[1] == own + sum(weights)
+
+    def test_over_capacity_shapes_match_the_table(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            weights = [rng.randint(1, 6) for _ in range(rng.randint(1, 9))]
+            deltas = [rng.randint(0, w - 1) for w in weights]
+            own = rng.randint(1, 6)
+            limit = rng.randint(max(weights + [own]), own + sum(weights))
+            ee = rng.random() < 0.5
+            assert solve_shape(own, weights, limit, deltas, ee) == table_record(
+                own, weights, limit, deltas, ee
+            )
