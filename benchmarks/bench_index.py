@@ -8,7 +8,11 @@ structural index's preorder windows — timing both sides best-of-
 bit-identical node-id lists both ways (``identical``); the summary
 ``descendant_speedup_min`` is the smallest window speedup across the
 descendant-axis queries and must clear
-``compare.INDEX_DESCENDANT_FLOOR`` (>= 3x) on full-run baselines.
+``compare.INDEX_DESCENDANT_FLOOR`` (>= 3x) on full-run baselines. The
+ancestor-axis rows (Q6, Q7) of the run itself are held to the same floor
+at either scale — the merged ancestor step wins by an order of magnitude
+even on the quick corpus; the committed ``BENCH_PR10.json`` predates the
+key and is not re-gated on it.
 
 The inner-window query (E7 ``//item/description//keyword``) must also
 report ``partitions_pruned > 0``: its windows overlap only a slice of
@@ -38,10 +42,11 @@ from pathlib import Path
 from time import perf_counter  # the harness itself may read the clock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+for _path in (REPO_ROOT / "src", REPO_ROOT / "benchmarks"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
+from compare import INDEX_DESCENDANT_FLOOR, check_index_baseline  # noqa: E402
 from repro import telemetry  # noqa: E402
 from repro.datasets import xmark_document  # noqa: E402
 from repro.partition import get_algorithm  # noqa: E402
@@ -54,8 +59,7 @@ BASELINE = REPO_ROOT / "BENCH_PR10.json"
 LIMIT = 256
 
 #: (qid, xpath, axis) — the timed comparison set; the ``descendant``
-#: rows feed the speedup floor, the ancestor row rides along for the
-#: report (ancestor windows help too, but the floor gates descendants)
+#: and the ``ancestor`` rows each feed a speedup floor
 QUERIES = (
     ("Q3", "//keyword", "descendant"),
     (
@@ -65,6 +69,7 @@ QUERIES = (
     ),
     ("E7", "//item/description//keyword", "descendant"),
     ("Q6", "//keyword/ancestor::listitem", "ancestor"),
+    ("Q7", "//keyword/ancestor-or-self::mail", "ancestor"),
 )
 
 #: navigation-bound workload for the heat-overhead sub-scenario — the
@@ -194,9 +199,10 @@ def run_scenario(quick: bool, seed: int, repeats: int) -> dict:
     queries = _query_rows(store, repeats)
     heat = _heat_overhead(store, 3 if quick else 20)
 
-    descendant_speedups = [
-        row["speedup"] for row in queries.values() if row["axis"] == "descendant"
-    ]
+    speedup_min = {
+        axis: min(row["speedup"] for row in queries.values() if row["axis"] == axis)
+        for axis in ("descendant", "ancestor")
+    }
     return {
         "seed": seed,
         "scale": scale,
@@ -206,7 +212,8 @@ def run_scenario(quick: bool, seed: int, repeats: int) -> dict:
         "records": index.record_count,
         "build_seconds": build_seconds,
         "queries": queries,
-        "descendant_speedup_min": min(descendant_speedups),
+        "descendant_speedup_min": speedup_min["descendant"],
+        "ancestor_speedup_min": speedup_min["ancestor"],
         "partitions_pruned_total": sum(
             row["partitions_pruned"] for row in queries.values()
         ),
@@ -237,11 +244,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.check:
-        bench_dir = str(REPO_ROOT / "benchmarks")
-        if bench_dir not in sys.path:
-            sys.path.insert(0, bench_dir)
-        from compare import check_index_baseline
-
         status = check_index_baseline(BASELINE)
         if status:
             return status
@@ -263,6 +265,7 @@ def main(argv=None) -> int:
     print(
         f"[bench-index] build={scenario['build_seconds'] * 1000:.1f}ms, "
         f"descendant speedup >= {scenario['descendant_speedup_min']:.1f}x, "
+        f"ancestor speedup >= {scenario['ancestor_speedup_min']:.1f}x, "
         f"pruned={scenario['partitions_pruned_total']}, "
         f"heat overhead {scenario['heat']['overhead_fraction'] * 100:+.1f}%",
         file=sys.stderr,
@@ -277,11 +280,16 @@ def main(argv=None) -> int:
         problems.append("no partitions pruned on the multi-partition scenario")
     if not scenario["heat"]["observed"]:
         problems.append("heat accounting observed no navigation steps")
+    if scenario["ancestor_speedup_min"] < INDEX_DESCENDANT_FLOOR:
+        problems.append(
+            f"ancestor speedup {scenario['ancestor_speedup_min']:.2f}x "
+            f"< {INDEX_DESCENDANT_FLOOR}x floor"
+        )
     if not args.quick:
-        if scenario["descendant_speedup_min"] < 3.0:
+        if scenario["descendant_speedup_min"] < INDEX_DESCENDANT_FLOOR:
             problems.append(
                 f"descendant speedup {scenario['descendant_speedup_min']:.2f}x "
-                "< 3x floor"
+                f"< {INDEX_DESCENDANT_FLOOR}x floor"
             )
         if scenario["heat"]["overhead_fraction"] >= 0.10:
             problems.append(

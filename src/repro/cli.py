@@ -158,16 +158,16 @@ def _index_comparison(store: DocumentStore, query: str) -> dict:
     evaluation with partition pruning) — and checks the node-id lists
     match bit for bit.
     """
-    from repro.query import evaluate
+    from repro.query import run_query_nodes
 
     store.structural_index = None
     with telemetry.span("stats.index.navigation") as sp_nav:
-        nav = run_query(store, query)
-    nav_ids = [node.node_id for node in evaluate(store, query)]
+        nav, nav_nodes = run_query_nodes(store, query)
+    nav_ids = [node.node_id for node in nav_nodes]
     index = store.build_index()
     with telemetry.span("stats.index.window") as sp_win:
-        win = run_query(store, query)
-    win_ids = [node.node_id for node in evaluate(store, query)]
+        win, win_nodes = run_query_nodes(store, query)
+    win_ids = [node.node_id for node in win_nodes]
     return {
         "query": query,
         "navigation_seconds": sp_nav.elapsed,

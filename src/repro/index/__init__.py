@@ -26,10 +26,13 @@ plus two things the paper's storage model adds on top:
   :class:`~repro.storage.store.NavigationStats` cost model navigation
   uses.
 
-``repro.query.engine`` dispatches every axis step through the index
-when ``store.structural_index`` is present and valid, and falls back to
-hop-by-hop navigation otherwise (counted as ``index.fallbacks``); an
-equivalence suite pins both paths to bit-identical node-id results.
+``repro.query.engine`` answers every location step from the index, once
+for the step's whole context set (a staircase of descendant windows, a
+shared ancestor climb, merged CSR slices), when
+``store.structural_index`` is present and valid, and falls back to
+hop-by-hop navigation otherwise (a stale index counts one
+``index.fallbacks`` per step); an equivalence suite pins both paths to
+bit-identical node-id results.
 Structural updates and record moves invalidate the index
 (:meth:`DocumentStore.invalidate_index`); crash recovery adopts stores
 without one, so recovered documents navigate until re-indexed.

@@ -224,7 +224,7 @@ class StructuralIndex:
         return self.child_ids[lo : lo + self.attr_count[node_id]]
 
     def ancestor_ids(self, node_id: int, or_self: bool) -> list[int]:
-        """Ancestor chain in proximity order (parent first)."""
+        """Ancestor chain of one node in proximity order (parent first)."""
         out = [node_id] if or_self else []
         parent_of = self.parent_of
         pid = parent_of[node_id]
@@ -233,26 +233,70 @@ class StructuralIndex:
             pid = parent_of[pid]
         return out
 
+    def ancestors_of(self, node_ids: Sequence[int], or_self: bool) -> list[int]:
+        """Distinct ancestors of a whole node set, unordered: a
+        ``parent_of`` climb per node that stops at the first node some
+        earlier climb already collected (its ancestors are in too), so
+        the cost is O(nodes + distinct ancestors), not a chain per node."""
+        parent_of = self.parent_of
+        seen: set[int] = set()
+        out: list[int] = []
+        for nid in node_ids:
+            cursor = nid if or_self else parent_of[nid]
+            while cursor >= 0 and cursor not in seen:
+                seen.add(cursor)
+                out.append(cursor)
+                cursor = parent_of[cursor]
+        return out
+
     def descendant_window(self, node_id: int, or_self: bool) -> tuple[int, int]:
         """Half-open preorder window ``[lo, hi)`` of the descendant axis."""
         pre = self.pre_of[node_id]
         lo = pre if or_self else pre + 1
         return lo, pre + self.size_of[node_id]
 
+    def descendant_windows(
+        self, node_ids: Sequence[int], or_self: bool
+    ) -> list[tuple[int, int]]:
+        """Staircase join: the descendant windows of a document-ordered
+        node set with every node inside the previously kept window
+        skipped (its descendants are that window's). The kept windows
+        are non-empty, disjoint and ascending, so reading them in turn
+        yields a duplicate-free document-order result."""
+        pre_of = self.pre_of
+        size_of = self.size_of
+        out: list[tuple[int, int]] = []
+        end = 0
+        for nid in node_ids:
+            pre = pre_of[nid]
+            if pre < end:
+                continue
+            end = pre + size_of[nid]
+            lo = pre if or_self else pre + 1
+            if lo < end:
+                out.append((lo, end))
+        return out
+
     def ids_in_window(self, lo: int, hi: int) -> Sequence[int]:
         """All node ids with preorder rank in ``[lo, hi)``, document order."""
         return self.node_at[lo:hi]
 
-    def label_ids_in_window(self, label_id: int, lo: int, hi: int) -> list[int]:
-        """Element ids with ``label_id`` and preorder rank in ``[lo, hi)``
-        — one bisect window over the label's sorted preorder postings."""
+    def label_ids_in_windows(
+        self, label_id: int, windows: Sequence[tuple[int, int]]
+    ) -> list[int]:
+        """Element ids with ``label_id`` inside the given preorder
+        windows — one bisect pair per window over the label's sorted
+        preorder postings."""
         postings = self._label_pre.get(label_id)
         if not postings:
             return []
         node_at = self.node_at
-        start = bisect_left(postings, lo)
-        stop = bisect_left(postings, hi)
-        return [node_at[rank] for rank in postings[start:stop]]
+        out: list[int] = []
+        for lo, hi in windows:
+            start = bisect_left(postings, lo)
+            stop = bisect_left(postings, hi, start)
+            out.extend([node_at[rank] for rank in postings[start:stop]])
+        return out
 
     def following_siblings(self, node_id: int) -> Sequence[int]:
         pid = self.parent_of[node_id]
@@ -272,34 +316,52 @@ class StructuralIndex:
 
     # -- partition pruning -------------------------------------------------
 
-    def records_overlapping(self, lo: int, hi: int) -> list[int]:
-        """Record ids whose pre window intersects ``[lo, hi]`` (inclusive)
-        — the partitions a descendant-window step must decode. A bisect
-        over records sorted by ``min_pre`` bounds the candidate set."""
-        cut = bisect_right(self._sorted_min_pre, hi)
+    def records_overlapping(self, windows: Sequence[tuple[int, int]]) -> list[int]:
+        """Record ids whose pre window intersects any of ``windows``
+        (half-open, disjoint, ascending — what
+        :meth:`descendant_windows` returns): the partitions a descendant
+        step must decode. One pass over the records sorted by
+        ``min_pre``; each bisects for the first window ending after it
+        starts."""
+        if not windows:
+            return []
+        los = [lo for lo, _ in windows]
+        his = [hi for _, hi in windows]
+        last = len(windows)
         rec_max_pre = self.rec_max_pre
-        return [
-            rid for rid in self._rec_by_min_pre[:cut] if rec_max_pre[rid] >= lo
-        ]
+        rec_by_min_pre = self._rec_by_min_pre
+        sorted_min_pre = self._sorted_min_pre
+        out = []
+        for at in range(bisect_left(sorted_min_pre, his[-1])):
+            rid = rec_by_min_pre[at]
+            k = bisect_right(his, sorted_min_pre[at])
+            if k < last and los[k] <= rec_max_pre[rid]:
+                out.append(rid)
+        return out
 
     def records_for_ancestors(
-        self, pre: int, post: int, or_self: bool
+        self, node_ids: Sequence[int], or_self: bool
     ) -> list[int]:
-        """Record ids that may hold ancestors of the node at ``(pre,
-        post)``: their window must reach before it in preorder *and*
-        after it in postorder."""
+        """Record ids that may hold an ancestor of any node of a
+        document-ordered node set: the record's window must reach before
+        that node in preorder *and* after it in postorder. One pass over
+        the records; each bisects the nodes' ``pre`` list and reads a
+        suffix minimum of their ``post``."""
+        pre_of = self.pre_of
+        post_of = self.post_of
+        pres = [pre_of[nid] for nid in node_ids]
+        # min_post_from[k] = min post over node_ids[k:]
+        min_post_from = [self.node_count] * (len(pres) + 1)
+        for k in range(len(pres) - 1, -1, -1):
+            min_post_from[k] = min(post_of[node_ids[k]], min_post_from[k + 1])
+        strict = 0 if or_self else 1
         rec_min_pre = self.rec_min_pre
         rec_max_post = self.rec_max_post
-        if or_self:
-            return [
-                rid
-                for rid in range(self.record_count)
-                if rec_min_pre[rid] <= pre and rec_max_post[rid] >= post
-            ]
         return [
             rid
             for rid in range(self.record_count)
-            if rec_min_pre[rid] < pre and rec_max_post[rid] > post
+            if min_post_from[bisect_left(pres, rec_min_pre[rid] + strict)]
+            <= rec_max_post[rid] - strict
         ]
 
     # -- structural predicates (used by tests / cross-checks) --------------

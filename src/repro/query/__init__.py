@@ -13,7 +13,7 @@ handles, so query cost directly measures partition quality.
 
 from repro.query.ast import LocationPath, Step, Predicate
 from repro.query.parser import parse_xpath
-from repro.query.engine import evaluate, run_query, QueryRun
+from repro.query.engine import evaluate, run_query, run_query_nodes, QueryRun
 from repro.query.xpathmark import XPATHMARK_QUERIES, XPathMarkQuery
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "parse_xpath",
     "evaluate",
     "run_query",
+    "run_query_nodes",
     "QueryRun",
     "XPATHMARK_QUERIES",
     "XPathMarkQuery",

@@ -16,6 +16,7 @@ comparisons (``[@id = "x"]``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro import telemetry
 from repro.errors import QueryEvaluationError
@@ -27,7 +28,6 @@ from repro.query.ast import (
     NodeTest,
     NodeTestKind,
     Position,
-    Predicate,
     PredicateExpr,
     STAR,
     Step,
@@ -96,32 +96,43 @@ def _axis_nodes(context: StoredNode, axis: Axis):
 
 
 # ---------------------------------------------------------------------------
-# Window-based axis evaluation over the structural index.
+# Set-at-a-time axis evaluation over the structural index.
 #
-# When a store carries a valid repro.index.StructuralIndex, every axis
-# step is answered from typed pre/post/level columns instead of
-# navigation: descendant axes become one preorder window (a bisect over
-# per-label postings when the test names an element), ancestor axes a
-# parent-column chase, child/sibling/attribute axes CSR slices. Cost
-# accounting switches units accordingly — a window step charges one
-# buffer fetch per partition whose pre/post window overlaps the query
-# window (everything else is *pruned*, counted in
-# NavigationStats.partitions_pruned) rather than per-hop intra/cross
-# steps. Results are bit-identical to navigation by construction (the
-# per-context orders below mirror _axis_nodes exactly — the equivalence
-# suite in tests/index pins this); any context the index cannot serve
-# (absent or invalidated index) falls back to _axis_nodes, counted as
-# index.fallbacks.
+# When a store carries a valid repro.index.StructuralIndex, a location
+# step is answered once for the whole context list from typed
+# pre/post/level columns, on bare node ids: descendant axes as a
+# staircase of disjoint preorder windows (contexts nested in a kept
+# window are skipped; a named test is one bisect pair per window over
+# the label's postings), ancestor axes as a parent-column climb that
+# stops at the first node already collected, the other axes as CSR
+# slices. Handles are made once per step, from the merged result. The
+# cost model is charged once per step as well: one buffer fetch per
+# page holding a partition the step must decode — the partitions whose
+# pre/post window overlaps the step's windows for range axes (the rest
+# are *pruned*, counted in NavigationStats.partitions_pruned), the
+# result's partitions for point axes — instead of per-hop intra/cross
+# steps. Results are bit-identical to navigation (the equivalence suite
+# in tests/index pins this); without a valid index the step navigates
+# (_navigate_step), counted once per step as index.fallbacks when the
+# index is there but stale.
 # ---------------------------------------------------------------------------
 
 _KIND_ELEMENT = int(NodeKind.ELEMENT)
 _KIND_TEXT = int(NodeKind.TEXT)
 _KIND_ATTRIBUTE = int(NodeKind.ATTRIBUTE)
 
+#: node id of the XPath virtual root: its own identity in dedup, before
+#: every stored node in document order
+_VIRTUAL = -1
+
+_DESCENDANT_AXES = (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF)
+_ANCESTOR_AXES = (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF)
+_OR_SELF_AXES = (Axis.DESCENDANT_OR_SELF, Axis.ANCESTOR_OR_SELF)
+
 
 def _usable_index(store):
     """The store's structural index, if present and valid (else None —
-    with the invalid case counted as a fallback)."""
+    with the stale case counted as one fallback for the calling step)."""
     index = getattr(store, "structural_index", None)
     if index is None:
         return None
@@ -140,161 +151,125 @@ def _filter_ids(index, ids, test: NodeTest) -> list[int]:
     kind_of = index.kind_of
     if test.kind is NodeTestKind.TEXT:
         return [i for i in ids if kind_of[i] == _KIND_TEXT]
-    if test.kind is NodeTestKind.ATTRIBUTE:
-        if test.name == STAR:
-            return [i for i in ids if kind_of[i] == _KIND_ATTRIBUTE]
-        lid = index.label_id(test.name)
-        if lid is None:
-            return []
-        label_of = index.label_id_of
-        return [
-            i
-            for i in ids
-            if kind_of[i] == _KIND_ATTRIBUTE and label_of[i] == lid
-        ]
+    kind = _KIND_ATTRIBUTE if test.kind is NodeTestKind.ATTRIBUTE else _KIND_ELEMENT
     if test.name == STAR:
-        return [i for i in ids if kind_of[i] == _KIND_ELEMENT]
+        return [i for i in ids if kind_of[i] == kind]
     lid = index.label_id(test.name)
     if lid is None:
         return []
     label_of = index.label_id_of
-    return [i for i in ids if kind_of[i] == _KIND_ELEMENT and label_of[i] == lid]
+    return [i for i in ids if label_of[i] == lid and kind_of[i] == kind]
 
 
-def _window_test_ids(index, window: tuple[int, int], test: NodeTest) -> list[int]:
-    """Matching ids inside a preorder window, document order. A named
-    element test bisects the label's sorted postings (the accelerator
-    fast path); other tests scan the window's node_at slice."""
-    lo, hi = window
-    if hi <= lo:
-        return []
+def _window_test_ids(index, windows, test: NodeTest) -> list[int]:
+    """Matching ids inside ascending preorder windows, document order. A
+    named element test bisects the label's sorted postings (the
+    accelerator fast path); other tests scan the windows' node_at
+    slices."""
     if test.kind is NodeTestKind.ELEMENT and test.name != STAR:
         lid = index.label_id(test.name)
         if lid is None:
             return []
-        return index.label_ids_in_window(lid, lo, hi)
-    return _filter_ids(index, index.ids_in_window(lo, hi), test)
+        return index.label_ids_in_windows(lid, windows)
+    window_ids = chain.from_iterable(index.ids_in_window(lo, hi) for lo, hi in windows)
+    return _filter_ids(index, window_ids, test)
 
 
-def _handle_factory(proto):
-    """Builds node handles of the same flavour as ``proto`` (tree-backed
-    StoredNode or record-backed RecordNode) from bare node ids."""
-    nav = getattr(proto, "navigator", None)
-    cls = type(proto)
-    if nav is not None:
-        return lambda nid: cls(nav, nid)
-    store = proto.store
-    nodes = store.tree.nodes
-    return lambda nid: cls(store, nodes[nid])
+#: ``(index, node id) -> ids``: one stored node's unfiltered population on
+#: a non-descendant axis, in axis order (proximity order for reverse
+#: axes, like `_axis_nodes`)
+_POPULATION = {
+    Axis.CHILD: lambda index, nid: index.children_of(nid),
+    Axis.ATTRIBUTE: lambda index, nid: index.attributes_of(nid),
+    Axis.SELF: lambda index, nid: (nid,),
+    Axis.PARENT: lambda index, nid: (
+        index.parent_of[nid : nid + 1] if index.parent_of[nid] >= 0 else ()
+    ),
+    Axis.ANCESTOR: lambda index, nid: index.ancestor_ids(nid, False),
+    Axis.ANCESTOR_OR_SELF: lambda index, nid: index.ancestor_ids(nid, True),
+    Axis.FOLLOWING_SIBLING: lambda index, nid: index.following_siblings(nid),
+    Axis.PRECEDING_SIBLING: lambda index, nid: index.preceding_siblings(nid),
+}
 
 
-def _charge_window(context, store, index, window, ancestor_key, ids) -> None:
-    """Charge one window-evaluated step to the navigation cost model:
-    a buffer fetch per partition the step must decode (window-overlap
-    set for range axes, the result partitions for point axes); skipped
-    partitions count as pruned."""
-    nav = getattr(context, "navigator", None)
-    stats = nav.stats if nav is not None else store.stats
-    stats.window_steps += 1
-    stats.node_visits += len(ids)
-    if window is not None:
-        lo, hi = window
-        rids = index.records_overlapping(lo, hi - 1)
-        stats.partitions_pruned += index.record_count - len(rids)
-    elif ancestor_key is not None:
-        pre, post, or_self = ancestor_key
-        rids = index.records_for_ancestors(pre, post, or_self)
-        stats.partitions_pruned += index.record_count - len(rids)
-    elif ids:
-        record_of = store.record_of
-        rids = {record_of[i] for i in ids}
+def _index_step(index, contexts, step: Step, positions):
+    """Answer one location step for the whole context list (document
+    order, duplicate-free) from the structural index: handles of the
+    step's result before boolean predicates, in document order and
+    duplicate-free. Without positional predicates the contexts are
+    merged into one group; with them every context keeps its own group,
+    in axis order, for the positions to index into. The XPath virtual
+    root is an ordinary context whose window is the whole document and
+    whose only child is the document element; it matches ``node()``."""
+    axis, test = step.axis, step.node_test
+    virtual = isinstance(contexts[0], _VirtualRoot)
+    proto = contexts[0]._doc_root if virtual else contexts[0]
+    ids = [context.node_id for context in contexts[virtual:]]
+    or_self = axis in _OR_SELF_AXES
+    root_matches = virtual and test.kind is NodeTestKind.ANY
+    if axis in _DESCENDANT_AXES:
+        if virtual:
+            merged = [(0, index.node_count)]
+        else:
+            merged = index.descendant_windows(ids, or_self)
+        window_groups = [merged]
+        if positions:
+            window_groups = [[index.descendant_window(nid, or_self)] for nid in ids]
+            if virtual:
+                window_groups.insert(0, merged)
+        groups = [_window_test_ids(index, ws, test) for ws in window_groups]
+        if root_matches and or_self:
+            groups[0].insert(0, _VIRTUAL)
+        decoded = index.records_overlapping(merged)
     else:
-        return
-    page_of_record = store.manager.page_of_record
-    buffer = store.buffer
-    faults = 0
-    pages = {page_of_record[rid] for rid in rids if rid in page_of_record}
-    for page_id in pages:
-        if not buffer.is_cached(page_id):
-            faults += 1
-        buffer.fetch(page_id)
-    stats.page_faults += faults
+        population = _POPULATION[axis]
+        if positions:
+            groups = [_filter_ids(index, population(index, nid), test) for nid in ids]
+        elif axis in _ANCESTOR_AXES:
+            groups = [_filter_ids(index, index.ancestors_of(ids, or_self), test)]
+        else:
+            runs = [population(index, nid) for nid in ids]
+            everything = runs[0] if len(runs) == 1 else chain.from_iterable(runs)
+            groups = [_filter_ids(index, everything, test)]
+        if virtual and axis is Axis.CHILD:
+            groups.insert(0, _filter_ids(index, index.node_at[:1], test))
+        elif root_matches and (axis is Axis.SELF or or_self):
+            groups.insert(0, [_VIRTUAL])
+        # a point axis decodes just the partitions holding its result
+        decoded = (
+            index.records_for_ancestors(ids, or_self)
+            if axis in _ANCESTOR_AXES
+            else None
+        )
+    for position in positions:
+        groups = [_nth(group, position) for group in groups]
+    if len(groups) == 1 and axis in _DESCENDANT_AXES:
+        out = groups[0]  # the staircase: ordered and duplicate-free as read
+        with_root = out[:1] == [_VIRTUAL]
+        if with_root:
+            del out[0]
+    else:
+        found = set(chain.from_iterable(groups))
+        with_root = _VIRTUAL in found
+        found.discard(_VIRTUAL)
+        out = sorted(found, key=index.pre_of.__getitem__)
+    # handles of the contexts' flavour: record-backed (RecordNode) or
+    # tree-backed (StoredNode); the navigator keeps its own counters
+    store = proto.store
+    handle = type(proto)
+    nav = getattr(proto, "navigator", None)
+    if nav is not None:
+        store.charge_index_step(nav.stats, out, decoded)
+        handles = [handle(nav, i) for i in out]
+    else:
+        store.charge_index_step(store.stats, out, decoded)
+        nodes = store.tree.nodes
+        handles = [handle(store, nodes[i]) for i in out]
+    if with_root:
+        handles.insert(0, contexts[0])
+    return handles
 
 
-def _window_step(context, step: Step):
-    """Answer one (context, step) from the structural index; None means
-    "no usable index here — navigate"."""
-    if isinstance(context, _VirtualRoot):
-        return _window_step_virtual(context, step)
-    store = getattr(context, "store", None)
-    if store is None:
-        return None
-    index = _usable_index(store)
-    if index is None:
-        return None
-    axis = step.axis
-    test = step.node_test
-    nid = context.node_id
-    window = None
-    ancestor_key = None
-    if axis is Axis.CHILD:
-        ids = _filter_ids(index, index.children_of(nid), test)
-    elif axis is Axis.ATTRIBUTE:
-        ids = _filter_ids(index, index.attributes_of(nid), test)
-    elif axis is Axis.SELF:
-        ids = _filter_ids(index, (nid,), test)
-    elif axis is Axis.DESCENDANT or axis is Axis.DESCENDANT_OR_SELF:
-        window = index.descendant_window(nid, axis is Axis.DESCENDANT_OR_SELF)
-        ids = _window_test_ids(index, window, test)
-    elif axis is Axis.PARENT:
-        pid = index.parent_id(nid)
-        ids = _filter_ids(index, (pid,), test) if pid >= 0 else []
-    elif axis is Axis.ANCESTOR or axis is Axis.ANCESTOR_OR_SELF:
-        or_self = axis is Axis.ANCESTOR_OR_SELF
-        ancestor_key = (index.pre_of[nid], index.post_of[nid], or_self)
-        ids = _filter_ids(index, index.ancestor_ids(nid, or_self), test)
-    elif axis is Axis.FOLLOWING_SIBLING:
-        ids = _filter_ids(index, index.following_siblings(nid), test)
-    elif axis is Axis.PRECEDING_SIBLING:
-        ids = _filter_ids(index, index.preceding_siblings(nid), test)
-    else:  # pragma: no cover - exhaustive enum
-        return None
-    _charge_window(context, store, index, window, ancestor_key, ids)
-    if not ids:
-        return []
-    make = _handle_factory(context)
-    return [make(i) for i in ids]
-
-
-def _window_step_virtual(context: "_VirtualRoot", step: Step):
-    """Window evaluation from the XPath virtual root. Mirrors
-    _VirtualRoot's navigation behaviour exactly, including yielding the
-    virtual-root object itself where descendants-or-self / self /
-    ancestor-or-self would (it stands in for the document element in
-    dedup, so both paths must agree)."""
-    store = context.store
-    index = _usable_index(store)
-    if index is None:
-        return None
-    axis = step.axis
-    test = step.node_test
-    doc_root = context._doc_root
-    if axis is Axis.CHILD:
-        # children() yields the document element without a charged hop
-        return [doc_root] if _filter_ids(index, (doc_root.node_id,), test) else []
-    if axis is Axis.SELF or axis is Axis.ANCESTOR_OR_SELF:
-        return [context] if _matches(context, test) else []
-    if axis is Axis.DESCENDANT or axis is Axis.DESCENDANT_OR_SELF:
-        window = (0, index.node_count)
-        ids = _window_test_ids(index, window, test)
-        _charge_window(context, store, index, window, None, ids)
-        make = _handle_factory(doc_root)
-        out = [make(i) for i in ids]
-        if axis is Axis.DESCENDANT_OR_SELF and _matches(context, test):
-            out.insert(0, context)
-        return out
-    # attribute/parent/ancestor/sibling axes of the root are empty
-    return []
 #
 # Location paths and predicate expressions nest mutually: a step's
 # predicate may contain a comparison whose operand is another path, whose
@@ -327,46 +302,62 @@ def _run(task):
     return value
 
 
+def _nth(group: list, position: Position) -> list:
+    """A positional predicate's pick from one context's group."""
+    at = position.index if position.index != -1 else len(group)
+    return group[at - 1 : at] if at >= 1 else []
+
+
+def _navigate_step(contexts, step: Step, positions):
+    """Hop-by-hop evaluation of one step, context by context: the
+    fallback when no valid index is there, and the oracle the index is
+    held to. Yields in context order; duplicates and order are the
+    caller's to settle."""
+    for context in contexts:
+        matched = [
+            node
+            for node in _axis_nodes(context, step.axis)
+            if _matches(node, step.node_test)
+        ]
+        # positional predicates filter within this context's axis result
+        for position in positions:
+            matched = _nth(matched, position)
+        yield from matched
+
+
 def _apply_step_task(contexts: list[StoredNode], step: Step):
-    seen: set[int] = set()
-    out: list[StoredNode] = []
     boolean_preds = [
         p for p in step.predicates if not isinstance(p.expr, Position)
     ]
-    position_preds = [
+    positions = [
         p.expr for p in step.predicates if isinstance(p.expr, Position)
     ]
-    for context in contexts:
-        # window evaluation when the store carries a valid structural
-        # index; hop-by-hop navigation otherwise (bit-identical results)
-        matched = _window_step(context, step)
-        if matched is None:
-            matched = [
-                node
-                for node in _axis_nodes(context, step.axis)
-                if _matches(node, step.node_test)
-            ]
-        # positional predicates filter within this context's axis result
-        for position in position_preds:
-            index = position.index if position.index != -1 else len(matched)
-            matched = [matched[index - 1]] if 1 <= index <= len(matched) else []
-        for node in matched:
-            if node.node_id in seen:
-                continue
-            holds = True
-            for pred in boolean_preds:
-                holds = yield _expr_holds_task(node, pred.expr)
-                if not holds:
-                    break
-            if holds:
-                seen.add(node.node_id)
-                out.append(node)
-    out.sort(key=lambda n: n.store.order_rank(n.node_id))  # document order
+    store = contexts[0].store
+    # one index evaluation for the whole context list when the store
+    # carries a valid structural index; hop-by-hop navigation otherwise
+    # (bit-identical results)
+    index = _usable_index(store)
+    if index is not None:
+        candidates = _index_step(index, contexts, step, positions)
+    else:
+        candidates = _navigate_step(contexts, step, positions)
+    seen: set[int] = set()
+    out: list[StoredNode] = []
+    for node in candidates:
+        if node.node_id in seen:
+            continue
+        holds = True
+        for pred in boolean_preds:
+            holds = yield _expr_holds_task(node, pred.expr)
+            if not holds:
+                break
+        if holds:
+            seen.add(node.node_id)
+            out.append(node)
+    if index is None:  # document order; the virtual root leads
+        rank = store.order_rank
+        out.sort(key=lambda n: rank(n.node_id) if n.node_id != _VIRTUAL else -1)
     return out
-
-
-def _apply_step(contexts: list[StoredNode], step: Step) -> list[StoredNode]:
-    return _run(_apply_step_task(contexts, step))
 
 
 def string_value(node: StoredNode) -> str:
@@ -379,10 +370,6 @@ def string_value(node: StoredNode) -> str:
         if descendant.kind is NodeKind.TEXT:
             parts.append(descendant.content or "")
     return "".join(parts)
-
-
-def _predicate_holds(node: StoredNode, predicate: Predicate) -> bool:
-    return _run(_expr_holds_task(node, predicate.expr))
 
 
 def _expr_holds_task(node: StoredNode, expr: PredicateExpr):
@@ -403,10 +390,6 @@ def _expr_holds_task(node: StoredNode, expr: PredicateExpr):
     if isinstance(expr, LocationPath):
         return bool((yield _evaluate_path_task([node], expr, _source_of(node))))
     raise QueryEvaluationError(f"unsupported predicate expression {expr!r}")
-
-
-def _expr_holds(node: StoredNode, expr: PredicateExpr) -> bool:
-    return _run(_expr_holds_task(node, expr))
 
 
 def _source_of(node):
@@ -430,12 +413,6 @@ def _evaluate_path_task(contexts: list[StoredNode], path: LocationPath, source):
     return current
 
 
-def _evaluate_path(
-    contexts: list[StoredNode], path: LocationPath, source
-) -> list[StoredNode]:
-    return _run(_evaluate_path_task(contexts, path, source))
-
-
 class _VirtualRoot:
     """The XPath root node: parent of the document element.
 
@@ -448,7 +425,7 @@ class _VirtualRoot:
 
     def __init__(self, store: DocumentStore, doc_root):
         self.store = store
-        self.node_id = doc_root.node_id
+        self.node_id = _VIRTUAL
         self._doc_root = doc_root
 
     @property
@@ -488,9 +465,9 @@ class QueryRun:
     cross_steps: int
     page_faults: int
     cost: float
-    #: axis steps the structural index answered by window lookup
+    #: location steps the structural index answered (one per step)
     window_steps: int = 0
-    #: partitions those window steps skipped (window non-overlap)
+    #: partitions those steps skipped (window non-overlap), summed
     partitions_pruned: int = 0
 
     @property
@@ -511,18 +488,21 @@ def evaluate(source, xpath: str) -> list[StoredNode]:
     record-backed evaluation).
     """
     path = parse_xpath(xpath)
-    return _evaluate_path([source.root()], path, source)
+    return _run(_evaluate_path_task([source.root()], path, source))
 
 
-def run_query(
+def run_query_nodes(
     store: DocumentStore, xpath: str, config: StorageConfig | None = None
-) -> QueryRun:
-    """Evaluate with fresh counters and return the measured
-    :class:`QueryRun` (buffer content is left warm across runs, matching
-    the paper's protocol)."""
+) -> tuple[QueryRun, list[StoredNode]]:
+    """Evaluate once with fresh counters; returns the measured
+    :class:`QueryRun` and the matching nodes it counted (buffer content
+    is left warm across runs, matching the paper's protocol)."""
     config = config or store.config
     store.stats.reset()
-    with telemetry.span("query.run", xpath=xpath) as sp:
+    index = store.structural_index
+    # how the steps are answered: "window", or why they navigate
+    answered = "absent" if index is None else "window" if index.valid else "invalid"
+    with telemetry.span("query.run", xpath=xpath, index=answered) as sp:
         results = evaluate(store, xpath)
         sp.attrs["results"] = len(results)
     stats = store.stats
@@ -542,7 +522,7 @@ def run_query(
                 telemetry.count(
                     "index.partitions_pruned", stats.partitions_pruned
                 )
-    return QueryRun(
+    run = QueryRun(
         xpath=xpath,
         result_count=len(results),
         intra_steps=stats.intra_steps,
@@ -552,3 +532,11 @@ def run_query(
         window_steps=stats.window_steps,
         partitions_pruned=stats.partitions_pruned,
     )
+    return run, results
+
+
+def run_query(
+    store: DocumentStore, xpath: str, config: StorageConfig | None = None
+) -> QueryRun:
+    """The measured :class:`QueryRun` of :func:`run_query_nodes`."""
+    return run_query_nodes(store, xpath, config)[0]

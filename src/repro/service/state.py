@@ -40,7 +40,7 @@ from repro import telemetry
 from repro.bulkload.importer import BulkLoader, ImportResult
 from repro.bulkload.journal import resume_import
 from repro.errors import WalError
-from repro.query.engine import evaluate, run_query, string_value
+from repro.query.engine import run_query_nodes, string_value
 from repro.recovery import read_wal, trim_torn_tail
 from repro.service.middleware import (
     DocumentConflictError,
@@ -478,10 +478,9 @@ class StoreRegistry:
             assert store is not None  # implied by status == ready
             with entry._stats_latch:
                 with telemetry.span("service.query", doc=doc_id):
-                    run = run_query(store, xpath)
+                    run, nodes = run_query_nodes(store, xpath)
                     values: Optional[list[str]] = None
                     if show > 0:
-                        nodes = evaluate(store, xpath)
                         values = [string_value(node) for node in nodes[:show]]
                 entry.queries += 1
             payload: dict[str, Any] = {

@@ -40,11 +40,13 @@ class NavigationStats:
     cross_steps: int = 0
     page_faults: int = 0
     node_visits: int = 0
-    #: axis steps answered by the structural index (window evaluation);
-    #: these replace hop charges with per-partition page touches
+    #: location steps answered by the structural index, one per step
+    #: whatever its context count; these replace hop charges with
+    #: per-partition page touches
     window_steps: int = 0
-    #: partitions a window step skipped because their pre/post window
-    #: did not overlap the query window (the partition map's savings)
+    #: partitions a range-axis step skipped because their pre/post
+    #: window overlapped none of the step's windows (the partition map's
+    #: savings), summed over steps
     partitions_pruned: int = 0
 
     def cost(self, config: StorageConfig) -> float:
@@ -308,6 +310,34 @@ class DocumentStore:
                 self.heat_fault_append(source.packed_id | target_id)
             if len(self.heat_buffer) >= self.heat_flush_at:
                 self.heat_drain()
+
+    def charge_index_step(
+        self, stats: NavigationStats, result_ids, range_records=None
+    ) -> None:
+        """Charge one index-answered location step to ``stats`` (this
+        store's or a record navigator's): one buffer fetch per page
+        holding a partition the step must decode. A range axis passes
+        the partitions its windows overlap (``range_records``; all the
+        others count as pruned); a point axis decodes just the
+        partitions holding its result."""
+        stats.window_steps += 1
+        stats.node_visits += len(result_ids)
+        if range_records is None:
+            if not result_ids:
+                return
+            record_of = self.record_of
+            decoded = {record_of[i] for i in result_ids}
+        else:
+            decoded = range_records
+            stats.partitions_pruned += self.record_count - len(decoded)
+        page_of_record = self.manager.page_of_record
+        buffer = self.buffer
+        for page_id in {
+            page_of_record[rid] for rid in decoded if rid in page_of_record
+        }:
+            if not buffer.is_cached(page_id):
+                stats.page_faults += 1
+            buffer.fetch(page_id)
 
     def simulated_cost(self) -> float:
         return self.stats.cost(self.config)

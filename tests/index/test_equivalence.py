@@ -10,7 +10,9 @@ fallback → rebuild) and after crash recovery (index dropped → rebuild).
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro import telemetry
 from repro.partition import get_algorithm
@@ -19,6 +21,8 @@ from repro.query.xpathmark import EXTENDED_QUERIES
 from repro.recovery import WriteAheadLog, recover_store
 from repro.storage import DocumentStore, StorageConfig, StoreUpdater
 from repro.storage.navigator import RecordNavigator
+from repro.tree.node import NodeKind
+from repro.tree.traversal import iter_ancestors, iter_descendants, iter_preorder
 from tests.recovery.conftest import LIMIT, apply_ops, build_store, surviving_pages
 
 ALL_QUERIES = tuple(
@@ -83,6 +87,156 @@ class TestEveryQueryBothLayouts:
         assert _ids(nav, xpath) == _ids(store, xpath)
 
 
+# -- the supported grammar, generated ---------------------------------------
+
+# Paths are drawn as a walk over the document itself: each step picks an
+# axis, then (mostly) names its node test after a node really found on
+# that axis, so most generated paths select something.
+_AXES = {
+    "descendant": lambda n: list(iter_descendants(n)),
+    "descendant-or-self": lambda n: list(iter_preorder(n)),
+    "ancestor": lambda n: list(iter_ancestors(n)),
+    "ancestor-or-self": lambda n: [n, *iter_ancestors(n)],
+    "attribute": lambda n: [c for c in n.children if c.kind is NodeKind.ATTRIBUTE],
+    "child": lambda n: n.children,
+    "self": lambda n: [n],
+    "parent": lambda n: [n.parent] if n.parent else [],
+    "following-sibling": lambda n: n.parent.children[n.index + 1 :] if n.parent else [],
+    "preceding-sibling": lambda n: n.parent.children[: n.index] if n.parent else [],
+}
+_STRAY_TESTS = ("keyword", "nosuchlabel", "*", "text()")
+
+
+def _mostly_elements(nodes):
+    """Text nodes are 40% of the document and `text()` selects them all;
+    navigation over thousands of contexts is what makes an example slow."""
+    elements = [n for n in nodes if n.kind is NodeKind.ELEMENT]
+    if not elements:
+        return st.sampled_from(nodes)
+    return st.integers(0, 7).flatmap(
+        lambda coin: st.sampled_from(nodes if coin == 0 else elements)
+    )
+
+
+@st.composite
+def _walk(draw, node, max_steps):
+    """1..max_steps predicate-free ``axis::test`` strings from ``node``,
+    and the node the walk ended on. Only the first step may descend: a
+    predicate that climbs and then descends re-walks the document for
+    every candidate under navigation."""
+    steps = []
+    for _ in range(draw(st.integers(1, max_steps))):
+        axis = draw(st.sampled_from(tuple(_AXES)[2 if steps else 0 :]))
+        found = _AXES[axis](node)
+        if not found:
+            axis, found = "self", [node]
+        if draw(st.integers(0, 11)) == 0:
+            test = draw(st.sampled_from(_STRAY_TESTS))
+        else:
+            node = draw(_mostly_elements(found))
+            if axis == "attribute":
+                test = draw(st.sampled_from((node.label, "*")))
+            elif node.kind is NodeKind.ELEMENT:
+                test = draw(st.sampled_from((node.label, node.label, "*", "node()")))
+            else:
+                test = "text()" if node.kind is NodeKind.TEXT else "node()"
+        steps.append(f"{axis}::{test}")
+    return steps, node
+
+
+@st.composite
+def _predicate(draw, node):
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return f"[{draw(st.integers(1, 3))}]"
+    if kind == 1:
+        return "[last()]"
+    # (absolute operands stay cheap: navigation re-walks them per candidate)
+    operands = [
+        draw(st.sampled_from(("/site/regions", "/self::node()/nosuchlabel")))
+        if draw(st.integers(0, 5)) == 0
+        else "/".join(draw(_walk(node, 2))[0])
+        for _ in range(kind - 1)
+    ]
+    return "[" + draw(st.sampled_from((" or ", " and "))).join(operands) + "]"
+
+
+@st.composite
+def xpaths(draw, tree):
+    """Absolute and relative paths of 1-4 steps over all ten axes, every
+    node-test kind, positional and boolean-path predicates."""
+    lead = draw(st.sampled_from(("//", "//", "/", "")))
+    node = tree.root
+    steps = []
+    if lead == "//":  # '//' abbreviates the descendant axis: bare test
+        node = draw(_mostly_elements(tree.nodes))
+        if node.kind is NodeKind.ELEMENT:
+            steps.append(node.label)
+        else:
+            steps.append("text()" if node.kind is NodeKind.TEXT else "@" + node.label)
+    elif lead == "/":
+        steps.append(draw(st.sampled_from(("site", "*", "self::node()"))))
+    for _ in range(draw(st.integers(0 if steps else 1, 4 - len(steps)))):
+        (step,), node = draw(_walk(node, 1))
+        steps.append(step + "".join(draw(st.lists(_predicate(node), max_size=1))))
+    return lead + "/".join(steps)
+
+
+class TestGeneratedGrammar:
+    @pytest.mark.parametrize("layout", ["km", "ekm"])
+    def test_index_ids_equal_navigation_ids(self, stores, layout):
+        store = stores[layout]
+        selective = []
+
+        @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+        @given(xpaths(store.tree))
+        def check(xpath):
+            nav, win = _both_ways(store, xpath)
+            assert win == nav, xpath
+            selective.append(bool(nav))
+
+        check()
+        assert sum(selective) > len(selective) // 2, "the walk lost the document"
+
+
+class TestStaircase:
+    """Shapes the merged step must get right: nested contexts, per-context
+    positions after a merged step, reverse axes fed by a staircase."""
+
+    @pytest.mark.parametrize(
+        "xpath",
+        [
+            "//parlist//listitem//keyword",
+            "//listitem/descendant-or-self::listitem",
+            "//listitem/descendant::keyword[1]",
+            "//listitem/descendant::keyword[last()]",
+            "//parlist/descendant::keyword/ancestor::listitem/following-sibling::*",
+            "//keyword/ancestor::*[1]",
+            "//keyword/ancestor-or-self::node()[last()]",
+            "//listitem/preceding-sibling::listitem[1]/text",
+            "//text/node()[2]",
+        ],
+    )
+    @pytest.mark.parametrize("layout", ["km", "ekm"])
+    def test_window_equals_navigation(self, stores, layout, xpath):
+        nav, win = _both_ways(stores[layout], xpath)
+        assert nav, "query found nothing — generator drift?"
+        assert win == nav
+        assert nav == sorted(set(nav), key=stores[layout].order_rank)
+
+    def test_record_navigator_agrees(self, stores):
+        store = stores["ekm"]
+        if store.structural_index is None or not store.structural_index.valid:
+            store.build_index()
+        records = RecordNavigator(store)
+        for xpath in (
+            "//parlist//listitem//keyword",
+            "//listitem/descendant::keyword[1]",
+            "/descendant-or-self::node()/self::site",
+        ):
+            assert _ids(records, xpath) == _ids(store, xpath)
+
+
 class TestCounters:
     def test_descendant_query_uses_windows_and_cheaper_cost(self, stores):
         store = stores["ekm"]
@@ -110,10 +264,32 @@ class TestCounters:
         store.build_index()
         store.invalidate_index()
         with telemetry.capture() as reg:
-            run_query(store, "//keyword")
+            # two location steps, hundreds of contexts: one fallback a step
+            run_query(store, "//keyword/ancestor::listitem")
             counters = {name: c.value for name, c in reg.counters.items()}
-        assert counters.get("index.fallbacks", 0) >= 1
+            (span,) = [s for s in reg.trace if s.name == "query.run"]
+        assert counters["index.fallbacks"] == 2
         assert "index.window_hits" not in counters
+        assert span.attrs["index"] == "invalid"
+        store.build_index()
+
+    def test_steps_are_counted_and_charged_once(self, stores):
+        store = stores["ekm"]
+        store.build_index()
+        with telemetry.capture() as reg:
+            run = run_query(store, "//keyword/ancestor::listitem")
+            (span,) = [s for s in reg.trace if s.name == "query.run"]
+        assert run.window_steps == 2  # location steps, not context nodes
+        assert span.attrs["index"] == "window"
+        assert "index.fallbacks" not in reg.counters
+        records = store.structural_index.record_count
+        assert 0 < run.partitions_pruned < 2 * records
+        store.structural_index = None
+        with telemetry.capture() as reg:
+            run_query(store, "//keyword")
+            (span,) = [s for s in reg.trace if s.name == "query.run"]
+        assert span.attrs["index"] == "absent"
+        assert "index.fallbacks" not in reg.counters
         store.build_index()
 
 

@@ -115,7 +115,7 @@ class TestWindows:
             if index.kind_of[nid] == int(NodeKind.ELEMENT)
             and index.label_id_of[nid] == lid
         ]
-        assert index.label_ids_in_window(lid, lo, hi) == scan
+        assert index.label_ids_in_windows(lid, [(lo, hi)]) == scan
 
     def test_sibling_runs(self, xmark_store, index):
         parent = xmark_store.tree.root
@@ -157,13 +157,13 @@ class TestPartitionMap:
         truth = {
             xmark_store.record_of[nid] for nid in index.ids_in_window(lo, hi)
         }
-        got = set(index.records_overlapping(lo, hi - 1))
+        got = set(index.records_overlapping([(lo, hi)]))
         assert truth <= got  # safety: nothing with a node inside is pruned
 
     def test_inner_window_prunes_records(self, xmark_store, index):
         node = xmark_store.tree.root.children[-1]
         lo, hi = index.descendant_window(node.node_id, or_self=True)
-        kept = index.records_overlapping(lo, hi - 1)
+        kept = index.records_overlapping([(lo, hi)])
         assert 0 < len(kept) < index.record_count
 
     def test_ancestor_records_are_a_safe_superset(self, xmark_store, index):
@@ -172,18 +172,12 @@ class TestPartitionMap:
             xmark_store.record_of[a]
             for a in index.ancestor_ids(node.node_id, or_self=False)
         }
-        got = set(
-            index.records_for_ancestors(
-                index.pre_of[node.node_id],
-                index.post_of[node.node_id],
-                or_self=False,
-            )
-        )
+        got = set(index.records_for_ancestors([node.node_id], or_self=False))
         assert truth <= got
         assert len(got) < index.record_count
 
     def test_full_window_overlaps_every_record(self, index):
-        assert len(index.records_overlapping(0, index.node_count - 1)) == (
+        assert len(index.records_overlapping([(0, index.node_count)])) == (
             index.record_count
         )
 

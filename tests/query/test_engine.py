@@ -140,3 +140,43 @@ class TestMeasurement:
         # element too
         assert len(result) == elements + 1
         assert all(n.is_element() for n in result)
+
+
+class TestVirtualRoot:
+    """The XPath root has its own identity: it precedes the document
+    element in document order and never stands in for it in dedup."""
+
+    @pytest.fixture(params=["navigation", "index"])
+    def source(self, request):
+        st = DocumentStore.build(parse_tree(DOC), Partitioning([(0, 0)]))
+        if request.param == "index":
+            st.build_index()
+        st.warm_up()
+        return st
+
+    def test_child_step_after_descendant_or_self_from_root(self, source):
+        assert labels(evaluate(source, "/descendant-or-self::node()/regions")) == [
+            "regions"
+        ]
+        assert labels(evaluate(source, "//regions")) == ["regions"]
+
+    def test_self_step_keeps_the_document_element(self, source):
+        result = evaluate(source, "/descendant-or-self::node()/self::site")
+        assert labels(result) == ["site"]
+        assert result[0].node_id == source.tree.root.node_id
+
+    def test_child_star_keeps_the_roots_children(self, source):
+        result = evaluate(source, "/descendant-or-self::node()/child::*")
+        # every element is somebody's child: site (of the root node),
+        # regions/list/keyword (of site), and so on down
+        assert labels(result) == [
+            "site", "regions", "namerica", "item", "item", "europe", "item",
+            "list", "entry", "keyword", "entry", "sub", "keyword", "keyword",
+        ]
+
+    def test_root_node_leads_and_is_not_the_document_element(self, source):
+        result = evaluate(source, "/descendant-or-self::node()")
+        assert len(result) == len(source.tree.nodes) + 1
+        assert result[0].node_id != result[1].node_id
+        assert result[1].node_id == source.tree.root.node_id
+        assert labels(evaluate(source, "/descendant-or-self::node()[2]")) == ["site"]

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.service.middleware import (
     DocumentConflictError,
     DocumentNotFoundError,
@@ -108,6 +109,27 @@ class TestStoreRegistry:
         assert payload["results"] == 30
         assert len(payload["values"]) == 3
         assert registry.document_info("d1")["queries"] == 1
+
+    def test_show_query_evaluates_once(self, registry, monkeypatch):
+        from repro.query import engine
+
+        parsed = []
+        parse = engine.parse_xpath
+        monkeypatch.setattr(
+            engine, "parse_xpath", lambda text: parsed.append(text) or parse(text)
+        )
+        registry.ingest_document(SAMPLE_XML.encode(), doc_id="d1")
+        plain = registry.query_document("d1", "//keyword")
+        with telemetry.capture() as reg:
+            shown = registry.query_document("d1", "//keyword", show=3)
+            runs = [s for s in reg.trace if s.name == "query.run"]
+            counted = reg.counters["query.runs"].value
+        assert len(runs) == 1 and counted == 1
+        assert runs[0].attrs["index"] == "window"
+        # the values come from the measured run's own node list
+        assert parsed == ["//keyword"] * 2
+        assert len(shown.pop("values")) == 3
+        assert shown == plain
 
     def test_auto_ids_are_sequential(self, registry):
         first = registry.ingest_document(SAMPLE_XML.encode())

@@ -169,4 +169,8 @@ class TestQueryMetrics:
         assert reg.counters["query.nodes_visited"].value > 0
         assert reg.histograms["span.query.run"].count == 1
         (record,) = [r for r in reg.trace if r.name == "query.run"]
-        assert record.attrs == {"xpath": "//item", "results": run.result_count}
+        assert record.attrs == {
+            "xpath": "//item",
+            "index": "absent",
+            "results": run.result_count,
+        }
