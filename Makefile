@@ -4,8 +4,7 @@
 #   make lint         # repro-lint (+ ruff/mypy when installed)
 #   make analyze      # baselined repro-lint gate + SARIF report (analysis.sarif)
 #   make test         # tier-1 pytest suite
-#   make bench        # harness smoke (--quick) + baseline check + regression gate
-#   make bench-e2e-smoke # the BENCHMARK.json benchmark at --smoke size + its self-check
+#   make bench        # the BENCHMARK.json benchmark at --smoke size + its self-check
 #   make faults-smoke # small fault-injection matrix (crash/bitflip/torn)
 #   make chaos-smoke  # WAL crash-matrix slice: kill update flushes, recover, diff
 #   make service-smoke# boot the document-store service and exercise every endpoint
@@ -18,9 +17,9 @@ export PYTHONPATH := src
 
 PYTHON ?= python
 
-.PHONY: verify lint analyze test bench bench-e2e-smoke faults-smoke chaos-smoke service-smoke
+.PHONY: verify lint analyze test bench faults-smoke chaos-smoke service-smoke
 
-verify: lint analyze test bench bench-e2e-smoke faults-smoke chaos-smoke service-smoke
+verify: lint analyze test bench faults-smoke chaos-smoke service-smoke
 	@echo "verify: OK"
 
 lint:
@@ -48,18 +47,10 @@ analyze:
 test:
 	$(PYTHON) -m pytest -x -q
 
-bench:
-	$(PYTHON) benchmarks/harness.py --quick --check --output /dev/null
-	$(PYTHON) benchmarks/compare.py BENCH_PR4.json BENCH_PR5.json
-	$(PYTHON) benchmarks/bench_service.py --quick --check --output /dev/null
-	$(PYTHON) benchmarks/compare.py BENCH_PR7.json BENCH_PR9.json
-	$(PYTHON) benchmarks/bench_recovery.py --quick --check --output /dev/null
-	$(PYTHON) benchmarks/bench_index.py --quick --check --output /dev/null
-
 # The repo's one benchmark (BENCHMARK.json) on tiny inputs: every
 # workload's schema and oracles, then the benchmark's own unit tests.
 # The scripts find the checkout's src/ themselves.
-bench-e2e-smoke:
+bench:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 	$(PYTHON) benchmarks/e2e/selfcheck.py
 

@@ -1088,8 +1088,8 @@ class RepeatedWeightWalkPass(LintPass):
 class PerHopCallbackPass(LintPass):
     """A Python callback invoked once per navigation hop roughly doubles
     the hot loop's cost: the frame push/pop for the observer outweighs
-    the step accounting it observes (measured in
-    ``benchmarks/bench_index.py``, heat scenario). The batch pattern the
+    the step accounting it observes (~50% on navigation-bound queries,
+    see ``docs/TELEMETRY.md``, access heat). The batch pattern the
     engine uses instead — append to a plain list, drain under a lock
     every few thousand entries — keeps the per-hop cost to one
     ``list.append``. The pass flags calls through callback-named

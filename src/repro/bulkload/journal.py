@@ -87,7 +87,7 @@ class ImportJournal:
     lines, and inheriting it across ``fork`` (repro-lint rule CC002)
     leaves parent and child racing the same file offset. The streaming
     importer honors this by journaling only from the coordinating
-    process — :mod:`repro.fastpath.parallel` workers never see it; they
+    process — :mod:`repro.bulkload.parallel` workers never see it; they
     return results and the coordinator appends.
     """
 

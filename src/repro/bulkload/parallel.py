@@ -14,7 +14,7 @@ decomposes exactly:
    the ordinary :class:`~repro.bulkload.importer.BulkLoader` machinery
    with *local* node ids ``0..m-1`` and returns its partition intervals,
    its closing :class:`~repro.bulkload.strategies.ChildSummary` and a
-   picklable :class:`~repro.fastpath.flat.FlatTree` of the subtree.
+   picklable :class:`~repro.tree.flat.FlatTree` of the subtree.
 3. **Ordered merge.** The main process grafts worker trees in document
    order. Node ids are assigned in creation order, so a subtree whose
    root gets global id ``base`` occupies exactly ``base..base+m-1`` — the
@@ -23,7 +23,7 @@ decomposes exactly:
    order, then the root frame closes exactly as in the sequential run.
 
 The merged result is **bit-identical** to ``BulkLoader.load`` on the same
-source (asserted by ``tests/fastpath/test_parallel.py``), including node
+source (asserted by ``tests/bulkload/test_parallel.py``), including node
 ids, the tree and the emission order of intervals.
 
 Journal/crash-resume semantics are preserved: a parallel run journals
@@ -47,8 +47,8 @@ from repro.bulkload.importer import BulkLoader, ImportResult, _LoadState
 from repro.bulkload.journal import ImportJournal, source_fingerprint
 from repro.bulkload.strategies import STRATEGY_CLASSES, ChildSummary
 from repro.errors import JournalError, ReproError, XmlFormatError
-from repro.fastpath.flat import FlatTree
 from repro.partition.interval import Partitioning, SiblingInterval
+from repro.tree.flat import FlatTree
 from repro.tree.node import NodeKind, Tree
 from repro.xmlio.events import (
     Characters,

@@ -11,9 +11,9 @@ Installed as ``repro`` (see pyproject)::
     repro recover journals/store.wal [--trim] [--json]
 
 ``repro compare`` runs every registered heuristic on the document and
-prints a Table-1-style summary; ``repro stats`` (also installed as
-``repro-stats``) runs a full partition/import/store/query pipeline under
-an enabled telemetry registry and dumps every metric it collected;
+prints a Table-1-style summary; ``repro stats`` runs a full
+partition/import/store/query pipeline under an enabled telemetry
+registry and dumps every metric it collected;
 ``repro-bench`` (the separate entry point) regenerates the paper's
 experiments on the synthetic corpus.
 
@@ -31,10 +31,10 @@ from typing import Optional, Sequence
 from repro import telemetry
 from repro.bulkload import BulkLoader
 from repro.errors import ReproError
-from repro.fastpath import default_cache
 from repro.partition import available_algorithms, evaluate_partitioning, get_algorithm
 from repro.partition.analysis import analyze_partitioning
 from repro.partition.render import render_partitioning
+from repro.partition.shapecache import default_cache
 from repro.query import run_query
 from repro.storage import DocumentStore
 from repro.xmlio import parse_tree
@@ -75,7 +75,7 @@ def cmd_import(args: argparse.Namespace) -> int:
                 "--parallel and --spill-threshold are mutually exclusive: "
                 "spilling couples subtrees and is inherently sequential"
             )
-        from repro.fastpath.parallel import ParallelBulkLoader
+        from repro.bulkload.parallel import ParallelBulkLoader
 
         loader: BulkLoader | ParallelBulkLoader = ParallelBulkLoader(
             algorithm=args.algorithm, limit=args.limit, workers=args.parallel
@@ -647,26 +647,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # `query` puts xpath after document; reorder handled by argparse
     try:
         return args.func(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def stats_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for the ``repro-stats`` console script (equivalent to
-    ``repro stats ...``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-stats",
-        description="Run the partitioning pipeline with telemetry enabled "
-        "and dump every collected metric.",
-    )
-    _add_stats_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        return cmd_stats(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

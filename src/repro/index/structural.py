@@ -194,7 +194,7 @@ class StructuralIndex:
                 telemetry.count("index.invalidations")
 
     def describe(self) -> dict:
-        """Summary block for ``/healthz`` and ``repro-stats --index``."""
+        """Summary block for ``/healthz`` and ``repro stats --index``."""
         return {
             "valid": self.valid,
             "nodes": self.node_count,

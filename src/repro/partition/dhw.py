@@ -28,14 +28,14 @@ bottom-up strategy exact:
 Worst-case time is ``O(n·K³)`` — linear in the number of nodes for fixed
 ``K``, which is the paper's headline result.
 
-The implementation runs over a :class:`~repro.fastpath.flat.FlatWeights`
+The implementation runs over a :class:`~repro.tree.flat.FlatWeights`
 snapshot: one descending-id loop replaces the postorder walk (children
 have larger ids than parents, so every subtree solution exists before its
 parent consumes it) and all child access goes through the CSR arrays.
 Steps 1-3 are :func:`~repro.partition.flatdp.solve_shape`, and because
 its answer depends only on a subtree's *shape* (weights + sibling order),
 solved shapes are replayed from the
-:class:`~repro.fastpath.cache.FastpathCache` — the DP runs once per
+:class:`~repro.partition.shapecache.ShapeCache` — the DP runs once per
 distinct shape, not once per node. ``tests/partition/oracles.py`` holds
 the per-node object-graph version this is pinned against.
 """
@@ -46,12 +46,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import telemetry
-from repro.fastpath.cache import FastpathCache, default_cache
-from repro.fastpath.flat import FlatWeights
 from repro.obsv import explain
 from repro.partition.base import Partitioner, register, reject_overweight
 from repro.partition.flatdp import DELTA, NEAR_CHAIN, OPT_CHAIN, OPT_RW, Record, solve_shape
 from repro.partition.interval import Partitioning, SiblingInterval
+from repro.partition.shapecache import ShapeCache, default_cache
+from repro.tree.flat import FlatWeights
 from repro.tree.node import Tree
 
 
@@ -110,7 +110,7 @@ class DHWPartitioner(Partitioner):
             tree,
             limit,
             exclude_endpoints=self.exclude_endpoints,
-            cache=FastpathCache() if self.collect_stats else None,
+            cache=ShapeCache() if self.collect_stats else None,
             stats=stats if collect else None,
         )
         cells = stats.dp_cells - before[0]
@@ -129,7 +129,7 @@ def dhw_partition(
     limit: int,
     *,
     exclude_endpoints: bool = False,
-    cache: Optional[FastpathCache] = None,
+    cache: Optional[ShapeCache] = None,
     stats: Optional[DHWStats] = None,
 ) -> Partitioning:
     """DHW proper: flatten, collapse bottom-up, extract top-down.
@@ -156,7 +156,7 @@ def _collapse(
     shapes: list[int],
     limit: int,
     exclude_endpoints: bool,
-    cache: FastpathCache,
+    cache: ShapeCache,
     stats: Optional[DHWStats],
 ) -> list[Optional[Record]]:
     """Per-node solution records, children before parents (Fig. 7);

@@ -13,17 +13,17 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import TreeError
-from repro.fastpath.cache import FastpathCache, default_cache
-from repro.fastpath.flat import FlatWeights
 from repro.obsv import explain
 from repro.partition.base import Partitioner, register, reject_overweight
 from repro.partition.flatdp import OPT_CHAIN, solve_shape
 from repro.partition.interval import Partitioning, SiblingInterval
+from repro.partition.shapecache import ShapeCache, default_cache
+from repro.tree.flat import FlatWeights
 from repro.tree.node import Tree
 
 
 def fdw_partition_flat(
-    tree: Tree, limit: int, *, cache: Optional[FastpathCache] = None
+    tree: Tree, limit: int, *, cache: Optional[ShapeCache] = None
 ) -> Partitioning:
     """Optimal tree sibling partitioning of a flat tree.
 

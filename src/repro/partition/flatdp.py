@@ -277,7 +277,7 @@ class FlatDP:
 
 #: solved-shape record ``(opt_chain, opt_rootweight, near_chain, delta)``:
 #: chains are :func:`chain_intervals` triples in child-index space, so a
-#: record replays on every node of the same shape (``FastpathCache``);
+#: record replays on every node of the same shape (``ShapeCache``);
 #: ``near_chain`` is ``None`` where no nearly-optimal variant exists
 OPT_CHAIN, OPT_RW, NEAR_CHAIN, DELTA = range(4)
 

@@ -11,9 +11,9 @@ up. DHW repairs exactly this deficiency.
 Complexity: ``O(n·K²)`` worst case; with the memoized table the practical
 cost is far lower (only reachable ``s`` values are materialized).
 
-Like DHW this runs over a :class:`~repro.fastpath.flat.FlatWeights`
+Like DHW this runs over a :class:`~repro.tree.flat.FlatWeights`
 snapshot with one descending-id loop and replays solved shapes from the
-:class:`~repro.fastpath.cache.FastpathCache`. A node whose *subtree*
+:class:`~repro.partition.shapecache.ShapeCache`. A node whose *subtree*
 weighs at most ``K`` never reaches the DP: its optimal solution is
 provably the empty chain with root weight ``W_T(v)`` (candidate 1 of
 Lemma 2 applies at every step), and the same holds for everything below
@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import telemetry
-from repro.fastpath.cache import FastpathCache, default_cache
-from repro.fastpath.flat import FlatWeights
 from repro.obsv import explain
 from repro.partition.base import Partitioner, register, reject_overweight
 from repro.partition.flatdp import OPT_CHAIN, OPT_RW, solve_shape
 from repro.partition.interval import Partitioning, SiblingInterval
+from repro.partition.shapecache import ShapeCache, default_cache
+from repro.tree.flat import FlatWeights
 from repro.tree.node import Tree
 
 
@@ -73,7 +73,7 @@ class GHDWPartitioner(Partitioner):
         result = ghdw_partition(
             tree,
             limit,
-            cache=FastpathCache() if self.collect_stats else None,
+            cache=ShapeCache() if self.collect_stats else None,
             stats=self.stats if collect else None,
         )
         cells = self.stats.dp_cells - cells_before
@@ -87,7 +87,7 @@ def ghdw_partition(
     tree: Tree,
     limit: int,
     *,
-    cache: Optional[FastpathCache] = None,
+    cache: Optional[ShapeCache] = None,
     stats: Optional[GHDWStats] = None,
 ) -> Partitioning:
     """GHDW proper: flatten, then one bottom-up collapse that emits its
@@ -108,7 +108,7 @@ def _collapse(
     flat: FlatWeights,
     shapes: list[int],
     limit: int,
-    cache: FastpathCache,
+    cache: ShapeCache,
     stats: Optional[GHDWStats],
 ) -> set[SiblingInterval]:
     n = flat.n

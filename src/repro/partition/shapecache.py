@@ -15,10 +15,11 @@ flat DP once per *distinct* shape instead of once per node:
   later occurrence. Cached records store interval chains in *child index*
   space, which maps onto any node with the same shape.
 
-The cache is LRU-bounded (``REPRO_FASTPATH_CACHE`` entries, default
-65536). The intern table grows with distinct shapes only; if it exceeds
-four times the result bound, both tables are reset together — shape ids
-name entries in the result cache, so they must never outlive it.
+The cache is LRU-bounded (65536 entries unless the constructor is given
+``max_entries``). The intern table grows with distinct shapes only; if
+it exceeds four times the result bound, both tables are reset together —
+shape ids name entries in the result cache, so they must never outlive
+it.
 
 Kernels report per-run hit/miss/eviction deltas through
 ``fastpath.cache.{hit,miss,evict}`` telemetry counters.
@@ -26,16 +27,14 @@ Kernels report per-run hit/miss/eviction deltas through
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Optional
 
 from repro import telemetry
-from repro.fastpath.flat import FlatWeights
+from repro.tree.flat import FlatWeights
 
-#: environment knob for the LRU bound (entries, not bytes)
-CACHE_SIZE_ENV = "REPRO_FASTPATH_CACHE"
+#: LRU bound of the record cache (entries, not bytes)
 DEFAULT_CACHE_SIZE = 65536
 
 #: cached DP record: (opt_intervals, opt_rootweight, near_intervals, delta)
@@ -44,16 +43,7 @@ DEFAULT_CACHE_SIZE = 65536
 Record = tuple
 
 
-def _cache_size_from_env() -> int:
-    raw = os.environ.get(CACHE_SIZE_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_CACHE_SIZE
-    return value if value > 0 else DEFAULT_CACHE_SIZE
-
-
-class FastpathCache:
+class ShapeCache:
     """Shape intern table + LRU-bounded DP result cache.
 
     An instance is **single-thread property**: lookups mutate LRU order
@@ -72,8 +62,8 @@ class FastpathCache:
         "_flushed",
     )
 
-    def __init__(self, max_entries: Optional[int] = None):
-        self.max_entries = max_entries if max_entries is not None else _cache_size_from_env()
+    def __init__(self, max_entries: int = DEFAULT_CACHE_SIZE):
+        self.max_entries = max_entries
         self._intern: dict[tuple, int] = {}
         self._records: OrderedDict[tuple, Record] = OrderedDict()
         # Cumulative counters; _flushed marks what telemetry already saw.
@@ -145,7 +135,7 @@ class FastpathCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict:
-        """Counter snapshot (used by ``repro-stats`` and tests)."""
+        """Counter snapshot (used by ``repro stats`` and tests)."""
         return {
             "entries": len(self._records),
             "shapes": len(self._intern),
@@ -179,7 +169,7 @@ class FastpathCache:
         self._flushed = (self.hits, self.misses, self.evictions)
 
 
-# The default cache is *per-thread*, not process-wide. A FastpathCache
+# The default cache is *per-thread*, not process-wide. A ShapeCache
 # does unlocked LRU bookkeeping (`hits += 1`, move_to_end) on every get,
 # so a single shared instance would race the moment two threads run
 # kernels concurrently (repro-lint rule CC003). Thread-local instances
@@ -189,16 +179,15 @@ class FastpathCache:
 _tls = threading.local()
 
 
-def default_cache() -> FastpathCache:
+def default_cache() -> ShapeCache:
     """This thread's cache, shared by all its DP partitioner runs."""
     cache = getattr(_tls, "cache", None)
     if cache is None:
-        cache = _tls.cache = FastpathCache()
+        cache = _tls.cache = ShapeCache()
     return cache
 
 
 def clear_default_cache() -> None:
-    """Reset the calling thread's default cache (tests and benchmark
-    cold-start runs). Other threads' caches are untouched — each thread
-    owns its cache outright."""
+    """Reset the calling thread's default cache (test isolation). Other
+    threads' caches are untouched — each thread owns its cache outright."""
     _tls.cache = None

@@ -104,7 +104,7 @@ def heat_aware_lukes(
 
     ``profile`` is a :class:`repro.telemetry.heat.HeatProfile` (as
     returned by ``HeatAccumulator.profile()``, ``GET /debug/heat`` or
-    ``repro-stats --heat``); its oriented traversal counts for ``doc``
+    ``repro stats --heat``); its oriented traversal counts for ``doc``
     are consumed verbatim by :func:`workload_edge_weight`, closing the
     telemetry→repartitioning loop for hot documents.
     """

@@ -3,7 +3,7 @@
 A stdlib-only asyncio service (see ``docs/SERVICE.md``):
 
 * ``POST /documents`` — bulk-load ingest (sequential or
-  :class:`~repro.fastpath.parallel.ParallelBulkLoader`), with journaled
+  :class:`~repro.bulkload.parallel.ParallelBulkLoader`), with journaled
   crash-safe resume (``?journal=1`` / ``?resume=1``),
 * ``GET /documents/{doc_id}/query?xpath=...`` — measured XPath
   execution over :mod:`repro.query`,

@@ -382,7 +382,7 @@ class StoreRegistry:
         replays the journal a previous failed ingest left behind
         (requires the same document bytes). ``parallel=N`` fans
         top-level subtrees over N worker processes via
-        :class:`~repro.fastpath.parallel.ParallelBulkLoader`.
+        :class:`~repro.bulkload.parallel.ParallelBulkLoader`.
         """
         if resume and parallel:
             raise ValidationError("resume replays sequentially; drop ?parallel")
@@ -448,7 +448,7 @@ class StoreRegistry:
                 )
             return resume_import(body, journal_path)
         if parallel:
-            from repro.fastpath.parallel import ParallelBulkLoader
+            from repro.bulkload.parallel import ParallelBulkLoader
 
             loader = ParallelBulkLoader(
                 algorithm=entry.algorithm, limit=entry.limit, workers=parallel

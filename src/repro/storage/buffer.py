@@ -69,7 +69,7 @@ class BufferStats:
         self.corrupt_reads = 0
 
     def as_dict(self) -> dict[str, float]:
-        """JSON-safe view (used by ``benchmarks/harness.py`` baselines)."""
+        """JSON-safe view (the per-layout buffer block of ``repro.bench`` Table 3)."""
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -18,9 +18,9 @@ enabled.
 The whole module is built around a **no-op fast path**: one module-level
 boolean, checked first by every helper. With telemetry disabled (the
 default) an instrumented hot loop pays a single attribute load and a
-falsy branch per hook — the property the disabled-overhead guard in the
-test suite and the ``overhead`` scenario of ``benchmarks/harness.py``
-pin down.
+falsy branch per hook — the disabled-mode tests in ``tests/telemetry``
+pin the behaviour, and ``telemetry.lib_overhead_ratio`` of the
+``BENCHMARK.json`` benchmark reports what switching it on costs.
 
 Enable globally with ``REPRO_TELEMETRY=1`` in the environment, or
 programmatically via :func:`enable` / :func:`enabled_scope` /
@@ -158,7 +158,7 @@ class Histogram:
     is retained; when the reservoir hits :data:`_SAMPLE_CAP` entries, every
     other retained sample is dropped and the stride doubles. No randomness
     — the same observation sequence always yields the same estimates, so
-    repeated ``repro-stats`` runs stay diffable.
+    repeated ``repro stats`` runs stay diffable.
     """
 
     __slots__ = (

@@ -12,7 +12,7 @@ of rotting silently:
 * :func:`format_metrics` — the table the ``repro stats`` subcommand
   prints;
 * :func:`prometheus_text` — the Prometheus/OpenMetrics text exposition
-  served by ``GET /metrics`` and ``repro-stats --prom``.
+  served by ``GET /metrics`` and ``repro stats --prom``.
 """
 
 from __future__ import annotations

@@ -292,7 +292,7 @@ class Tracer:
 
 
 def format_trace(trace: Trace) -> str:
-    """Render a trace as an indented text tree (for ``repro-stats``)."""
+    """Render a trace as an indented text tree (for ``repro stats``)."""
     lines = [
         f"trace {trace.trace_id}  {trace.seconds * 1000:.3f} ms  "
         f"{len(trace.spans)} spans"

@@ -46,12 +46,12 @@ class TestQuadraticSweeps:
         assert not found(lin_result, "LIN001", "seeded_concurrency.py")
         assert not found(lin_result, "LIN002", "seeded_concurrency.py")
 
-    def test_fastpath_prefix_module_is_kernel_scope(self, tmp_path):
-        package = tmp_path / "repro" / "fastpath"
+    def test_prefix_module_is_kernel_scope(self, tmp_path):
+        package = tmp_path / "repro" / "tree"
         package.mkdir(parents=True)
         (tmp_path / "repro" / "__init__.py").write_text("")
         (package / "__init__.py").write_text("")
-        (package / "sweep.py").write_text(
+        (package / "flat.py").write_text(
             textwrap.dedent(
                 """
                 def all_pairs(nodes):
@@ -63,7 +63,7 @@ class TestQuadraticSweeps:
                 """
             )
         )
-        result = run_lint([package / "sweep.py"], select=["LIN001"])
+        result = run_lint([package / "flat.py"], select=["LIN001"])
         assert len(result.violations) == 1
         assert result.violations[0].code == "LIN001"
 

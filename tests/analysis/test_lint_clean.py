@@ -7,8 +7,10 @@ violation anywhere in the package fails the suite.
 
 from __future__ import annotations
 
+import re
+
 from repro.analysis import cli
-from repro.analysis.passes import run_lint
+from repro.analysis.passes import available_passes, run_lint
 
 from tests.analysis.conftest import REPO_SRC
 
@@ -27,3 +29,9 @@ def test_repro_lint_src_repro_is_clean():
 def test_cli_gate_exits_zero(capsys):
     assert cli.main([str(REPO_SRC)]) == cli.EXIT_CLEAN
     assert "clean" in capsys.readouterr().out
+
+
+def test_rule_catalog_documents_every_registered_code():
+    catalog = (REPO_SRC.parents[1] / "docs" / "ANALYSIS.md").read_text()
+    documented = set(re.findall(r"^\| ([A-Z]+\d{3}) +\|", catalog, re.MULTILINE))
+    assert documented == {cls.code for cls in available_passes()}

@@ -92,6 +92,10 @@ class TestAblations:
         for row in rows:
             for count in row.partitions.values():
                 assert count >= row.lower_bound
+            # sibling packing tracks the capacity bound within a small
+            # factor at every K; KM's parent-child-only model trails it
+            assert row.partitions["ekm"] <= 2.1 * row.lower_bound
+            assert row.partitions["km"] >= row.partitions["ekm"]
         # more capacity -> fewer partitions
         assert rows[1].partitions["ekm"] <= rows[0].partitions["ekm"]
         assert "A1" in format_k_sweep(rows, "sigmod")
@@ -100,8 +104,10 @@ class TestAblations:
         rows = run_memoization_ablation(documents=("sigmod",), scale=0.2, include_dhw=False)
         (row,) = rows
         assert row.algorithm == "ghdw"
-        assert 0 < row.occupancy < 1
-        assert row.avg_s_values < 64
+        # the memoized table touches a tiny fraction of the O(n·K) cell
+        # space — the paper's Sec. 3.3.6 observation
+        assert 0 < row.occupancy < 0.25
+        assert row.avg_s_values < 40
         assert "A2" in format_memoization(rows)
 
     def test_gap(self):
@@ -110,6 +116,10 @@ class TestAblations:
         assert row.optimal >= 1
         for name, count in row.partitions.items():
             assert count >= row.optimal, name
+        # paper Sec. 6.2: GHDW within 4% of optimal, EKM close behind
+        assert row.gap("ghdw") <= 0.08
+        assert row.gap("ekm") <= 0.12
+        assert row.gap("km") > row.gap("ekm")
         assert "A3" in format_gap(rows)
 
     def test_spill(self):
@@ -118,6 +128,7 @@ class TestAblations:
         )
         assert rows[0].spills == 0
         assert rows[0].peak_fraction >= rows[1].peak_fraction
+        assert rows[1].peak_fraction < 1.0
         assert "A4" in format_spill(rows, "sigmod", "ekm")
 
 

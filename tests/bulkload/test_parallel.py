@@ -10,10 +10,10 @@ import pytest
 
 from repro.bulkload.importer import BulkLoader
 from repro.bulkload.journal import read_journal, resume_import
+from repro.bulkload.parallel import ParallelBulkLoader
 from repro.errors import JournalError, ReproError, XmlFormatError
-from repro.fastpath.parallel import ParallelBulkLoader
 
-from tests.fastpath.conftest import tree_signature
+from tests.conftest import tree_signature
 
 SMALL_DOC = """
 <catalog>

@@ -24,7 +24,7 @@ FIG9_SPEC = ("a", 2, [("b", 4), ("c", 1, [("d", 1), ("e", 1)])])
 def _fresh_default_cache():
     """Isolate every test from this thread's DP shape cache: what a run
     computes (DP cells, cache hits) must not depend on test order."""
-    from repro.fastpath.cache import clear_default_cache
+    from repro.partition.shapecache import clear_default_cache
 
     clear_default_cache()
     yield
@@ -59,3 +59,19 @@ def tiny_corpus():
     from repro.datasets import paper_corpus
 
     return paper_corpus(scale=0.1, seed=7)
+
+
+def tree_signature(tree):
+    """Everything that makes two trees 'the same document'."""
+    return [
+        (
+            node.node_id,
+            node.label,
+            node.weight,
+            node.kind,
+            node.content,
+            node.parent.node_id if node.parent is not None else -1,
+            tuple(c.node_id for c in node.children),
+        )
+        for node in tree.nodes
+    ]

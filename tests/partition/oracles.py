@@ -6,9 +6,9 @@ one :class:`ReferenceFlatDP` per inner node, a postorder walk over
 ``TreeNode`` objects, and the Lemma-2 candidate scan recomputed for every
 cell. They are slow and easy to read, which is the point — beside
 :mod:`repro.partition.brute` they are what the kernel in
-``src/repro/partition`` is pinned against (``tests/fastpath``): same
-partitionings interval for interval, same ``Decision`` provenance, same
-nearly-optimal statistics.
+``src/repro/partition`` is pinned against (``test_equivalence.py``,
+``test_activation.py``): same partitionings interval for interval, same
+``Decision`` provenance, same nearly-optimal statistics.
 
 The classes are *not* registered in ``ALGORITHMS``; they reuse the
 production names so ``Partitioner.partition`` wraps them identically

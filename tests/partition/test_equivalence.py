@@ -18,10 +18,10 @@ from repro.datasets.random_trees import (
     star_tree,
 )
 from repro.errors import TreeError
-from repro.fastpath.cache import FastpathCache
 from repro.partition.dhw import DHWPartitioner, dhw_partition
 from repro.partition.fdw import FDWPartitioner, fdw_partition_flat
 from repro.partition.ghdw import GHDWPartitioner, ghdw_partition
+from repro.partition.shapecache import ShapeCache
 from repro.tree.builders import chain_tree, flat_tree, tree_from_spec
 
 from tests.partition.oracles import ReferenceDHW, ReferenceFDW, ReferenceGHDW
@@ -134,7 +134,7 @@ class TestShapes:
 class TestCacheBehaviour:
     def test_duplicated_shapes_hit_the_cache(self):
         tree = duplicated_subtree_tree(100, template_size=25, seed=4)
-        cache = FastpathCache()
+        cache = ShapeCache()
         first = dhw_partition(tree, 23, cache=cache)
         assert cache.hit_ratio > 0.9, "repeated templates must replay from cache"
         # A second run over the same document is all hits.
@@ -145,7 +145,7 @@ class TestCacheBehaviour:
 
     def test_modes_do_not_cross_pollute(self):
         tree = duplicated_subtree_tree(20, template_size=15, seed=6)
-        cache = FastpathCache()
+        cache = ShapeCache()
         assert dhw_partition(tree, 19, cache=cache) == ReferenceDHW().partition(
             tree, 19, check=True
         )
@@ -155,7 +155,7 @@ class TestCacheBehaviour:
 
     def test_different_limits_are_distinct_entries(self):
         tree = duplicated_subtree_tree(10, template_size=10, seed=2)
-        cache = FastpathCache()
+        cache = ShapeCache()
         a9 = dhw_partition(tree, 9, cache=cache)
         a14 = dhw_partition(tree, 14, cache=cache)
         assert a9 == ReferenceDHW().partition(tree, 9)
@@ -164,7 +164,7 @@ class TestCacheBehaviour:
     def test_tiny_cache_still_correct(self):
         # Constant eviction pressure must never change the answer.
         tree = duplicated_subtree_tree(30, template_size=15, seed=8)
-        cache = FastpathCache(max_entries=2)
+        cache = ShapeCache(max_entries=2)
         result = dhw_partition(tree, 17, cache=cache)
         assert result == ReferenceDHW().partition(tree, 17, check=True)
         assert cache.evictions > 0

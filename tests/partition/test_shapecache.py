@@ -1,21 +1,15 @@
-"""FastpathCache: shape interning, LRU bounds, telemetry counters."""
+"""ShapeCache: shape interning, LRU bounds, telemetry counters."""
 
 from repro import telemetry
 from repro.datasets.random_trees import duplicated_subtree_tree, random_tree
-from repro.fastpath.cache import (
-    CACHE_SIZE_ENV,
-    DEFAULT_CACHE_SIZE,
-    FastpathCache,
-    clear_default_cache,
-    default_cache,
-)
-from repro.fastpath.flat import FlatTree
+from repro.partition.shapecache import ShapeCache, clear_default_cache, default_cache
 from repro.tree.builders import chain_tree, flat_tree
+from repro.tree.flat import FlatTree
 
 
 class TestShapeInterning:
     def test_identical_leaves_share_one_shape(self):
-        cache = FastpathCache()
+        cache = ShapeCache()
         ft = FlatTree.from_tree(flat_tree(1, [2, 2, 2, 2]))
         shapes = cache.shape_ids(ft)
         assert len(set(shapes[1:])) == 1  # all leaves weigh 2
@@ -23,21 +17,21 @@ class TestShapeInterning:
 
     def test_duplicated_templates_intern_to_few_shapes(self):
         tree = duplicated_subtree_tree(50, template_size=20, seed=1, distinct_templates=3)
-        cache = FastpathCache()
+        cache = ShapeCache()
         shapes = cache.shape_ids(FlatTree.from_tree(tree))
         # 50 record anchors but only 3 distinct templates: the number of
         # distinct shapes is bounded by the template contents, not copies.
         assert len(set(shapes)) < len(tree) / 10
 
     def test_shape_depends_on_weight_and_child_order(self):
-        cache = FastpathCache()
+        cache = ShapeCache()
         a = cache.shape_ids(FlatTree.from_tree(flat_tree(1, [1, 2])))
         b = cache.shape_ids(FlatTree.from_tree(flat_tree(1, [2, 1])))
         assert a[0] != b[0]  # sibling order matters
         assert a[1] == b[2] and a[2] == b[1]  # but the leaves are shared
 
     def test_interning_is_stable_across_trees(self):
-        cache = FastpathCache()
+        cache = ShapeCache()
         first = cache.shape_ids(FlatTree.from_tree(chain_tree([1, 1, 1])))
         second = cache.shape_ids(FlatTree.from_tree(chain_tree([1, 1, 1])))
         assert first == second
@@ -45,7 +39,7 @@ class TestShapeInterning:
 
 class TestRecordCache:
     def test_miss_then_hit(self):
-        cache = FastpathCache()
+        cache = ShapeCache()
         assert cache.get(("dhw", 0, 5, False)) is None
         cache.put(("dhw", 0, 5, False), ((), 3, None, 0))
         assert cache.get(("dhw", 0, 5, False)) == ((), 3, None, 0)
@@ -53,7 +47,7 @@ class TestRecordCache:
         assert cache.hit_ratio == 0.5
 
     def test_lru_eviction(self):
-        cache = FastpathCache(max_entries=2)
+        cache = ShapeCache(max_entries=2)
         cache.put(("k", 1), "a")
         cache.put(("k", 2), "b")
         assert cache.get(("k", 1)) == "a"  # refresh 1: now 2 is the LRU
@@ -67,7 +61,7 @@ class TestRecordCache:
     def test_intern_reset_clears_records_too(self):
         # Shape ids name record-cache keys, so the two tables must reset
         # together once the intern table outgrows its bound.
-        cache = FastpathCache(max_entries=1)
+        cache = ShapeCache(max_entries=1)
         tree = random_tree(30, seed=3)
         shapes = cache.shape_ids(FlatTree.from_tree(tree))
         cache.put(("dhw", shapes[0], 9, False), "stale")
@@ -77,7 +71,7 @@ class TestRecordCache:
         assert len(cache._intern) <= 2
 
     def test_stats_snapshot(self):
-        cache = FastpathCache()
+        cache = ShapeCache()
         cache.put(("x",), 1)
         cache.get(("x",))
         cache.get(("y",))
@@ -91,7 +85,7 @@ class TestRecordCache:
 
 class TestTelemetryFlush:
     def test_flush_emits_deltas_only(self):
-        cache = FastpathCache()
+        cache = ShapeCache()
         cache.put(("a",), 1)
         with telemetry.capture() as reg:
             cache.get(("a",))
@@ -104,27 +98,17 @@ class TestTelemetryFlush:
             snap = telemetry.snapshot(reg)["counters"]
             assert snap["fastpath.cache.hit"] == 1
             assert snap["fastpath.cache.miss"] == 1
-        # Cumulative attributes survive flushing (repro-stats reads them).
+        # Cumulative attributes survive flushing (repro stats reads them).
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_flush_without_telemetry_still_advances_watermark(self):
-        cache = FastpathCache()
+        cache = ShapeCache()
         cache.get(("miss",))
         cache.flush_counters()  # telemetry disabled: no error, no reset
         assert cache.misses == 1
 
 
 class TestConfiguration:
-    def test_env_size(self, monkeypatch):
-        monkeypatch.setenv(CACHE_SIZE_ENV, "123")
-        assert FastpathCache().max_entries == 123
-
-    def test_env_invalid_falls_back(self, monkeypatch):
-        monkeypatch.setenv(CACHE_SIZE_ENV, "not-a-number")
-        assert FastpathCache().max_entries == DEFAULT_CACHE_SIZE
-        monkeypatch.setenv(CACHE_SIZE_ENV, "-5")
-        assert FastpathCache().max_entries == DEFAULT_CACHE_SIZE
-
     def test_default_cache_is_shared_until_cleared(self):
         first = default_cache()
         assert default_cache() is first
@@ -156,7 +140,7 @@ class TestThreadIsolation:
         import sys
         import threading
 
-        from repro.fastpath.flat import FlatTree
+        from repro.tree.flat import FlatTree
         from repro.tree.builders import flat_tree
 
         ft = FlatTree.from_tree(flat_tree(1, [2, 2, 2, 2]))

@@ -121,10 +121,8 @@ class TestStatsCommand:
         ]
         assert totals == sorted(totals)
 
-    def test_stats_main_entry_point(self, doc_path, capsys):
-        from repro.cli import stats_main
-
-        assert stats_main([doc_path, "--algorithm", "km"]) == 0
+    def test_stats_algorithm_option(self, doc_path, capsys):
+        assert main(["stats", doc_path, "--algorithm", "km"]) == 0
         assert "partition.km.runs" in capsys.readouterr().out
 
     def test_stats_does_not_leak_global_state(self, doc_path, capsys):

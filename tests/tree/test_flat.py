@@ -3,19 +3,12 @@
 import random
 
 from repro.datasets.random_trees import duplicated_subtree_tree, random_tree, star_tree
-from repro.fastpath.flat import FlatTree
 from repro.tree.builders import chain_tree, tree_from_spec
+from repro.tree.flat import FlatTree
 from repro.tree.measure import subtree_weights
 from repro.tree.node import NodeKind, Tree
 
-from tests.fastpath.conftest import tree_signature
-
-# Fig. 3 running example (K=5), same spec as tests/conftest.py.
-FIG3_SPEC = (
-    "a",
-    3,
-    [("b", 2), ("c", 1, [("d", 2), ("e", 2)]), ("f", 1), ("g", 1), ("h", 2)],
-)
+from tests.conftest import FIG3_SPEC, tree_signature
 
 
 class TestFromTree:
