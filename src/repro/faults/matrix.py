@@ -324,7 +324,13 @@ def _update_script(tree, seed: int, batches: int, ops_per_batch: int) -> list:
                     )
                 )
             else:
-                ops.append(("insert", rng.choice(elements), f"n{index}x{op}"))
+                # every third insert goes in front of its siblings: they
+                # are renumbered, so records the new node never joins
+                # must reach the log too
+                position = 0 if op % 3 == 0 else None
+                ops.append(
+                    ("insert", rng.choice(elements), f"n{index}x{op}", position)
+                )
         script.append(ops)
     return script
 
@@ -334,7 +340,7 @@ def _apply_batch(store: DocumentStore, ops) -> None:
     for op in ops:
         try:
             if op[0] == "insert":
-                updater.insert_node(op[1], op[2])
+                updater.insert_node(op[1], op[2], position=op[3])
             else:
                 updater.update_content(op[1], op[2])
         except StorageError:

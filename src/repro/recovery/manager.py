@@ -203,6 +203,33 @@ def _decode_records(manager: RecordManager, codec: RecordCodec) -> list[Record]:
     return records
 
 
+def _rebuild(
+    manager: RecordManager, codec: RecordCodec, labels: Optional[list], wal_path: str
+) -> tuple:
+    """Step 4 of both recovery entry points: decode every record and
+    reconstruct ``(tree, record_of)`` from the repaired, redone pages."""
+    records = _decode_records(manager, codec)
+    if labels is None:
+        raise RecoveryError(
+            f"{wal_path}: no label snapshot in the log — was the "
+            "store ever attached to this WAL?"
+        )
+    tree = reconstruct_tree(records, labels)
+    record_of = [-1] * len(tree)
+    for record in records:
+        for node in record.nodes:
+            record_of[node.node_id] = record.record_id
+    return tree, record_of
+
+
+def _count_run(report: RecoveryReport) -> None:
+    """The closing counters of both recovery entry points."""
+    if telemetry.enabled():
+        telemetry.count("recovery.runs")
+        if report.torn_bytes_discarded:
+            telemetry.count("recovery.torn_bytes", report.torn_bytes_discarded)
+
+
 def _start_report(state: WalState) -> RecoveryReport:
     return RecoveryReport(
         wal_path=state.path,
@@ -236,17 +263,7 @@ def recover_store(
         _repair_pages(manager, state.latest_images(), report)
         _redo(manager, state, report)
         codec = RecordCodec(record_header=config.record_header, capacity_bytes=None)
-        records = _decode_records(manager, codec)
-        if state.labels is None:
-            raise RecoveryError(
-                f"{wal_path}: no label snapshot in the log — was the "
-                "store ever attached to this WAL?"
-            )
-        tree = reconstruct_tree(records, state.labels)
-        record_of = [-1] * len(tree)
-        for record in records:
-            for node in record.nodes:
-                record_of[node.node_id] = record.record_id
+        tree, record_of = _rebuild(manager, codec, state.labels, wal_path)
         store = DocumentStore.adopt(manager, tree, record_of, state.labels, config)
         if checkpoint:
             write_checkpoint(
@@ -256,10 +273,7 @@ def recover_store(
                 state.next_txn,
             )
             report.checkpointed = True
-    if telemetry.enabled():
-        telemetry.count("recovery.runs")
-        if report.torn_bytes_discarded:
-            telemetry.count("recovery.torn_bytes", report.torn_bytes_discarded)
+    _count_run(report)
     return store, report
 
 
@@ -282,13 +296,8 @@ def recover(
         report = _start_report(state)
         _repair_pages(store.manager, state.latest_images(), report)
         _redo(store.manager, state, report)
-        records = _decode_records(store.manager, store.codec)
         labels = state.labels if state.labels is not None else store.labels
-        tree = reconstruct_tree(records, labels)
-        record_of = [-1] * len(tree)
-        for record in records:
-            for node in record.nodes:
-                record_of[node.node_id] = record.record_id
+        tree, record_of = _rebuild(store.manager, store.codec, labels, wal_path)
         store.rebind(tree, record_of, labels)
         if checkpoint:
             if store.wal is not None and store.wal.is_open:
@@ -301,8 +310,5 @@ def recover(
                     state.next_txn,
                 )
             report.checkpointed = True
-    if telemetry.enabled():
-        telemetry.count("recovery.runs")
-        if report.torn_bytes_discarded:
-            telemetry.count("recovery.torn_bytes", report.torn_bytes_discarded)
+    _count_run(report)
     return report

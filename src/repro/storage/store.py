@@ -13,6 +13,15 @@ axis step is charged
 This is the quantity Table 3 measures: the same document stored under
 KM's single-node partitions forces a cross-record hop for nearly every
 edge, while EKM's sibling partitions keep whole child sequences local.
+
+Durable state is the pages (and the WAL, when attached). Beside the tree
+the store keeps three mirrors of the node -> record assignment, all
+derived, all rebuilt by :meth:`DocumentStore.rebind` after recovery and
+maintained by :class:`~repro.storage.updates.StoreUpdater` in between:
+``record_of[node_id]``, ``record_weights[record_id]`` and
+``members[record_id]`` — the record's node ids in ascending (creation)
+order, which is the order its nodes are serialized in. ``members`` is
+what makes re-encoding a record cost its own size, not the document's.
 """
 
 from __future__ import annotations
@@ -121,16 +130,16 @@ class DocumentStore:
         )
         self.manager = RecordManager(config)
         with telemetry.span("storage.build"):
-            records = self._build_records()
-            for record in records:
-                self.manager.store(record.record_id, self.codec.encode(record))
-        self.record_count = len(records)
+            # label ids in first-seen document order; updates intern new
+            # labels as their records are re-encoded
+            for label in dict.fromkeys(node.label for node in tree):
+                self._label_id(label)
+            self._derive_record_state(max(self.record_of) + 1)
+            for record_id in range(self.record_count):
+                self.manager.store(
+                    record_id, self.codec.encode(self.rebuild_record(record_id))
+                )
         self.buffer = BufferPool(self.manager.pages, config.buffer_pages)
-
-        # current partition weight per record (maintained by updates)
-        self.record_weights = [0] * self.record_count
-        for node in tree:
-            self.record_weights[self.record_of[node.node_id]] += node.weight
         # document-order ranks, recomputed lazily after structural updates
         self._order_ranks: Optional[list[int]] = None
 
@@ -146,34 +155,20 @@ class DocumentStore:
             self._label_ids[label] = lid
         return lid
 
-    def _build_records(self) -> list[Record]:
+    def _derive_record_state(self, count: int) -> None:
+        """Group the tree by ``record_of``: per record its member ids
+        (ascending) and its partition weight (both maintained by updates
+        from here on)."""
+        members: list[list[int]] = [[] for _ in range(count)]
+        weights = [0] * count
         record_of = self.record_of
-        count = max(record_of) + 1
-        records = [Record(rid) for rid in range(count)]
-        slot_of: dict[int, int] = {}
-        for node in self.tree:  # document order; parents precede children
-            rid = record_of[node.node_id]
-            record = records[rid]
-            parent = node.parent
-            if parent is not None and record_of[parent.node_id] == rid:
-                parent_slot = slot_of[parent.node_id]
-            else:
-                parent_slot = NO_PARENT
-            slot_of[node.node_id] = len(record.nodes)
-            record.nodes.append(
-                RecordNode(
-                    node_id=node.node_id,
-                    kind=node.kind,
-                    label_id=self._label_id(node.label),
-                    parent_slot=parent_slot,
-                    content=(node.content or "").encode("utf-8"),
-                    parent_node_id=(
-                        DOCUMENT_ROOT if parent is None else parent.node_id
-                    ),
-                    position=node.index,
-                )
-            )
-        return records
+        for node in self.tree:
+            record_id = record_of[node.node_id]
+            members[record_id].append(node.node_id)
+            weights[record_id] += node.weight
+        self.record_count = count
+        self.members = members
+        self.record_weights = weights
 
     @classmethod
     def build(
@@ -226,9 +221,9 @@ class DocumentStore:
         """Swap in recovered in-memory state around the existing pages.
 
         Everything derivable is re-derived: the partitioning from the
-        assignment, record weights from node weights, document-order
-        ranks lazily, and a fresh buffer pool over the (possibly
-        repaired) pages.
+        assignment, member lists and record weights from the tree,
+        document-order ranks lazily, and a fresh buffer pool over the
+        (possibly repaired) pages.
         """
         self.tree = tree
         self.labels = list(labels)
@@ -237,13 +232,10 @@ class DocumentStore:
         count = max(self.record_of, default=-1) + 1
         for record_id in self.manager.page_of_record:
             count = max(count, record_id + 1)
-        self.record_count = count
+        self._derive_record_state(count)
         self.partitioning = Partitioning(
             intervals_from_assignment(tree, self.record_of)
         )
-        self.record_weights = [0] * count
-        for node in tree:
-            self.record_weights[self.record_of[node.node_id]] += node.weight
         self.buffer = BufferPool(self.manager.pages, self.config.buffer_pages)
         self._order_ranks = None
         # recovered state never trusts a pre-crash index; rebuild on demand
@@ -400,33 +392,41 @@ class DocumentStore:
             index.invalidate()
 
     def rebuild_record(self, record_id: int) -> Record:
-        """Re-materialize one record from the current tree + assignment
-        (incremental updates re-encode dirty records through this)."""
-        record = Record(record_id)
+        """Materialize one record from the current tree + assignment —
+        the one node -> :class:`RecordNode` loop, run per record by the
+        initial build and per dirty record by update flushes. Visits the
+        record's members only."""
+        nodes = self.tree.nodes
+        label_ids = self._label_ids
         slot_of: dict[int, int] = {}
-        for node in self.tree:
-            if self.record_of[node.node_id] != record_id:
-                continue
+        out: list[RecordNode] = []
+        # ascending ids: an in-record parent is always serialized (and in
+        # slot_of) before its children, so a miss means "fragment root"
+        for node_id in self.members[record_id]:
+            node = nodes[node_id]
             parent = node.parent
-            if parent is not None and self.record_of[parent.node_id] == record_id:
-                parent_slot = slot_of[parent.node_id]
+            if parent is None:
+                parent_id, parent_slot = DOCUMENT_ROOT, NO_PARENT
             else:
-                parent_slot = NO_PARENT
-            slot_of[node.node_id] = len(record.nodes)
-            record.nodes.append(
+                parent_id = parent.node_id
+                parent_slot = slot_of.get(parent_id, NO_PARENT)
+            label_id = label_ids.get(node.label)
+            if label_id is None:
+                label_id = self._label_id(node.label)
+            content = node.content
+            slot_of[node_id] = len(out)
+            out.append(
                 RecordNode(
-                    node_id=node.node_id,
-                    kind=node.kind,
-                    label_id=self._label_id(node.label),
-                    parent_slot=parent_slot,
-                    content=(node.content or "").encode("utf-8"),
-                    parent_node_id=(
-                        DOCUMENT_ROOT if parent is None else parent.node_id
-                    ),
-                    position=node.index,
+                    node_id,
+                    node.kind,
+                    label_id,
+                    parent_slot,
+                    content.encode("utf-8") if content else b"",
+                    parent_id,
+                    node.index,
                 )
             )
-        return record
+        return Record(record_id, out)
 
     # -- navigation ------------------------------------------------------
 

@@ -83,8 +83,13 @@ class StoreUpdater:
         store.invalidate_order()
         record = self._choose_record(node, weight)
         store.record_of[node.node_id] = record
+        store.members[record].append(node.node_id)  # the largest id so far
         store.record_weights[record] += weight
         self._dirty.add(record)
+        # the insert renumbered every later sibling; their stored
+        # ``position`` fields live in whichever records hold them
+        for sibling in parent.children[position + 1 :]:
+            self._dirty.add(store.record_of[sibling.node_id])
         self.stats.inserts += 1
         return node.node_id
 
@@ -106,8 +111,7 @@ class StoreUpdater:
                     f"record {record} cannot absorb content growth of {delta}"
                 )
         node.content = content
-        node.weight = new_weight
-        store.tree._subtree_weights = None
+        store.tree.set_weight(node, new_weight)
         store.record_weights[record] += delta
         self._dirty.add(record)
         self.stats.content_updates += 1
@@ -136,10 +140,14 @@ class StoreUpdater:
         wal = store.wal
         dirty = sorted(self._dirty)
         with telemetry.span("storage.updates.flush"):
-            blobs = [
-                (record_id, store.codec.encode(store.rebuild_record(record_id)))
-                for record_id in dirty
-            ]
+            blobs = []
+            nodes_encoded = 0
+            for record_id in dirty:
+                record = store.rebuild_record(record_id)
+                nodes_encoded += len(record.nodes)
+                blobs.append((record_id, store.codec.encode(record)))
+            if telemetry.enabled():
+                telemetry.count("storage.updates.nodes_encoded", nodes_encoded)
             if wal is not None:
                 txn_id = wal.begin(
                     dirty, labels=store.labels, record_limit=self.limit
@@ -191,6 +199,7 @@ class StoreUpdater:
         record_id = store.record_count
         store.record_count += 1
         store.record_weights.append(0)
+        store.members.append([])
         self._dirty.add(record_id)
         return record_id
 
@@ -205,12 +214,9 @@ class StoreUpdater:
         freed weight.
         """
         store = self.store
-        members = [
-            node
-            for node in store.tree
-            if store.record_of[node.node_id] == record_id
-        ]
-        component = {n.node_id for n in members}
+        member_ids = store.members[record_id]
+        members = [store.tree.nodes[node_id] for node_id in member_ids]
+        component = set(member_ids)
         # The protected node and its in-record ancestors must not move.
         untouchable: set[int] = set()
         cursor: Optional[TreeNode] = (
@@ -219,9 +225,10 @@ class StoreUpdater:
         while cursor is not None and cursor.node_id in component:
             untouchable.add(cursor.node_id)
             cursor = cursor.parent
-        # Partition weight of each member's in-record subtree (members are
-        # creation-ordered, so children of a member appear after it —
-        # iterate reversed for child-first accumulation).
+        # Partition weight of each member's in-record subtree (member
+        # lists are ascending in node id and a child's id is always larger
+        # than its parent's — iterate reversed for child-first
+        # accumulation).
         weights_in_record: dict[int, int] = {}
         for node in reversed(members):
             weights_in_record[node.node_id] = node.weight + sum(
@@ -263,17 +270,17 @@ class StoreUpdater:
         if not run:
             return 0
         target = self._new_record()
-        for root in run:
-            self._move_subtree(root, record_id, target)
+        self._move_subtrees(run, record_id, target)
         self._dirty.add(record_id)
         self.stats.record_splits += 1
         return freed
 
-    def _move_subtree(self, root: TreeNode, source: int, target: int) -> None:
-        """Reassign ``root`` and its in-``source`` descendants to
-        ``target``, maintaining record weights."""
+    def _move_subtrees(self, roots: list[TreeNode], source: int, target: int) -> None:
+        """Reassign ``roots`` and their in-``source`` descendants to
+        ``target``, maintaining record weights and member lists."""
         store = self.store
-        stack = [root]
+        moved: set[int] = set()
+        stack = list(roots)
         while stack:
             node = stack.pop()
             if store.record_of[node.node_id] != source:
@@ -281,7 +288,11 @@ class StoreUpdater:
             store.record_of[node.node_id] = target
             store.record_weights[source] -= node.weight
             store.record_weights[target] += node.weight
+            moved.add(node.node_id)
             stack.extend(node.children)
+        members = store.members
+        members[source] = [i for i in members[source] if i not in moved]
+        members[target] = sorted(moved.union(members[target]))
         # the partition windows in any structural index describe the old
         # assignment now (content-only updates that never split keep it)
         store.invalidate_index()

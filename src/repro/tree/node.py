@@ -196,6 +196,15 @@ class Tree:
         self._total_weight = None
         return child
 
+    def set_weight(self, node: TreeNode, weight: int) -> None:
+        """Re-weigh ``node`` in place (content updates). Like every
+        mutation, this drops the cached weight sums."""
+        if weight < 1:
+            raise TreeError(f"node weight must be a positive integer, got {weight!r}")
+        node.weight = int(weight)
+        self._subtree_weights = None
+        self._total_weight = None
+
     def total_weight(self) -> int:
         """Sum of all node weights, ``W_T(t)``.
 

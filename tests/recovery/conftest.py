@@ -29,6 +29,7 @@ __all__ = [
     "LIMIT",
     "XML",
     "apply_ops",
+    "apply_positional_ops",
     "build_store",
     "control_fingerprints",
     "store_fingerprint",
@@ -47,6 +48,13 @@ def apply_ops(updater: StoreUpdater, count: int = 3) -> None:
     """The canonical update batch the crash tests kill mid-flush."""
     for i in range(count):
         updater.insert_node(0, f"n{i}")
+
+
+def apply_positional_ops(updater: StoreUpdater, count: int = 3) -> None:
+    """Inserts in front of the root's children: every later sibling is
+    renumbered, so records the new nodes never joined must be rewritten."""
+    for i in range(count):
+        updater.insert_node(0, f"p{i}", position=0)
 
 
 def surviving_pages(store: DocumentStore) -> dict[int, Page]:

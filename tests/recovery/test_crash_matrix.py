@@ -12,8 +12,8 @@ require every cell to pass.
 
 from __future__ import annotations
 
-from repro.faults.matrix import run_update_crash_matrix
-from tests.recovery.conftest import XML
+from repro.faults.matrix import _update_script, run_update_crash_matrix
+from tests.recovery.conftest import XML, build_store
 
 #: scenario-name fragments the matrix must cover — one per crash shape
 #: the ISSUE's gate names (boundaries, torn tail, bit-flip, double crash,
@@ -69,6 +69,14 @@ class TestCrashMatrix:
         # damage/double-crash/interior cells
         assert len(report.scenarios) > len(EXPECTED_SHAPES)
         assert "passed" in report.summary()
+
+    def test_scripts_mix_front_inserts_with_appends(self):
+        # the shape `make chaos-smoke` runs (2 batches of 8 ops): a front
+        # insert renumbers siblings stored in other records, and only a
+        # crash + recovery shows whether those records were logged
+        script = _update_script(build_store().tree, 2006, 2, 8)
+        positions = [op[3] for ops in script for op in ops if op[0] == "insert"]
+        assert 0 in positions and None in positions
 
     def test_matrix_is_deterministic(self):
         first = run_update_crash_matrix(

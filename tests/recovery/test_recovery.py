@@ -23,22 +23,27 @@ from repro.storage.reconstruct import verify_store_integrity
 from tests.recovery.conftest import (
     LIMIT,
     apply_ops,
+    apply_positional_ops,
     build_store,
     store_fingerprint,
     surviving_pages,
+)
+from tests.storage.oracles import (
+    assert_members_match_scan,
+    assert_pages_match_scan,
 )
 
 CONFIG = StorageConfig(record_limit=LIMIT)
 
 
-def _control(tmp_path):
+def _control(tmp_path, ops=apply_ops):
     """Uninterrupted run: (pre, post) fingerprints, partitioning, hits."""
     store = build_store()
     wal = WriteAheadLog(str(tmp_path / "control.wal")).open()
     store.attach_wal(wal)
     pre = store_fingerprint(store)
     updater = StoreUpdater(store)
-    apply_ops(updater)
+    ops(updater)
     plan = FaultPlan([], seed=11)  # armed but empty: harvests hit counts
     with active(plan):
         updater.flush()
@@ -51,14 +56,14 @@ def _control(tmp_path):
     }
 
 
-def _crashed_flush(tmp_path, rule: FaultRule):
+def _crashed_flush(tmp_path, rule: FaultRule, ops=apply_ops):
     """Run the canonical batch and kill its flush with ``rule``."""
     store = build_store()
     path = str(tmp_path / "crash.wal")
     wal = WriteAheadLog(path).open()
     store.attach_wal(wal)
     updater = StoreUpdater(store)
-    apply_ops(updater)
+    ops(updater)
     with active(FaultPlan([rule], seed=11)):
         with pytest.raises((InjectedFaultError, OSError)):
             updater.flush()
@@ -67,8 +72,11 @@ def _crashed_flush(tmp_path, rule: FaultRule):
 
 
 def _recovered_checks(store, control):
-    """The crash-matrix gate: bytes, integrity, partitioning."""
+    """The crash-matrix gate: bytes, integrity, partitioning — and the
+    derived state ``rebind`` rebuilt agrees with the whole-tree scan."""
     verify_store_integrity(store)
+    assert_members_match_scan(store)
+    assert_pages_match_scan(store)
     partitioning = StoreUpdater(store).current_partitioning()
     report = evaluate_partitioning(store.tree, partitioning, LIMIT)
     assert report.feasible, "recovery produced an infeasible partitioning"
@@ -115,6 +123,25 @@ class TestCrashShapes:
         recovered, report = recover_store(surviving_pages(store), path, CONFIG)
         assert store_fingerprint(recovered) == control["post"]
         assert report.replayed_transactions == [1]
+
+    def test_positional_insert_crash_recovers_renumbered_siblings(self, tmp_path):
+        # the front inserts shift every <person>; their records must be in
+        # the transaction or cold recovery rebuilds a tree with position gaps
+        control = _control(tmp_path, apply_positional_ops)
+        store, path = _crashed_flush(
+            tmp_path, FaultRule("updates.flush", "raise", hit=1), apply_positional_ops
+        )
+        # every record holds a renumbered <person> (or the new nodes)
+        assert len(read_wal(path).latest_images()) == store.record_count
+
+        recovered, report = recover_store(surviving_pages(store), path, CONFIG)
+        assert store_fingerprint(recovered) == control["post"]
+        assert report.replayed_transactions == [1]
+        partitioning = _recovered_checks(recovered, control)
+        assert partitioning == control["partitioning"]
+        assert [c.label for c in recovered.tree.root.children[:4]] == [
+            "p2", "p1", "p0", "person",
+        ]
 
     def test_fsync_io_error_at_group_commit(self, tmp_path):
         # hit 1 is the attach-time checkpoint fsync; hit 2 is the commit
@@ -258,7 +285,7 @@ class TestWarmRecovery:
         # inserts whose flush never committed
         recover(store, path)
         assert store_fingerprint(store) == control["pre"]
-        verify_store_integrity(store)
+        _recovered_checks(store, control)
 
         # the lost batch is simply re-run on the recovered store
         wal = WriteAheadLog(path).open()

@@ -1,13 +1,21 @@
 """Node-at-a-time updates: placement preferences, splits, invariants."""
 
+import random
+
 import pytest
 
+from repro import telemetry
 from repro.errors import StorageError
 from repro.partition import evaluate_partitioning, get_algorithm
 from repro.partition.interval import Partitioning
 from repro.storage import DocumentStore, StorageConfig, StoreUpdater
-from repro.tree.node import NodeKind
+from repro.storage.reconstruct import verify_store_integrity
+from repro.tree.node import NodeKind, Tree
 from repro.xmlio import parse_tree
+from tests.storage.oracles import (
+    assert_members_match_scan,
+    assert_pages_match_scan,
+)
 
 LIMIT = 16
 
@@ -91,8 +99,6 @@ class TestInsertPlacement:
     def test_many_inserts_remain_feasible(self):
         store = small_store()
         updater = StoreUpdater(store)
-        import random
-
         rng = random.Random(3)
         ids = [0, 1, 2, 3]
         for i in range(120):
@@ -109,6 +115,23 @@ class TestInsertPlacement:
             ids.append(nid)
         report = assert_invariants(updater)
         assert report.cardinality > 1
+        updater.flush()
+        verify_store_integrity(store)
+
+    def test_positional_insert_rewrites_shifted_siblings(self):
+        # c and d live in another record than a; inserting in front of
+        # them renumbers their sibling positions, which that record stores
+        tree = parse_tree("<a><b/><c/><d/></a>")
+        config = StorageConfig(record_limit=4)
+        store = DocumentStore.build(tree, Partitioning([(0, 0), (2, 3)]), config)
+        updater = StoreUpdater(store)
+        updater.insert_node(0, "first", position=0)
+        updater.flush()
+        verify_store_integrity(store)
+        positions = {
+            n.node_id: n.position for n in store.fetch_record(store.record_of[2]).nodes
+        }
+        assert (positions[2], positions[3]) == (2, 3)
 
     def test_rejects_oversized_node(self):
         updater = StoreUpdater(small_store())
@@ -146,6 +169,17 @@ class TestContentUpdates:
         updater = StoreUpdater(small_store())
         with pytest.raises(StorageError):
             updater.update_content(0, "nope")  # element
+
+    def test_content_update_refreshes_cached_tree_weights(self):
+        store = small_store()
+        tree = store.tree
+        assert tree.total_weight() == 6  # both sums are cached now
+        assert tree.subtree_weight(tree.root) == 6
+        StoreUpdater(store).update_content(2, "a much longer text value, longer still")
+        actual = sum(n.weight for n in tree)
+        assert actual > 6
+        assert tree.total_weight() == actual
+        assert tree.subtree_weight(tree.root) == actual
 
 
 class TestFlush:
@@ -194,3 +228,117 @@ class TestQueryAfterUpdates:
         all_children = evaluate(store, "/a/*")
         labels = [n.label for n in all_children]
         assert labels == ["zzz", "b", "c", "d"]
+
+
+def _random_edit(updater: StoreUpdater, rng: random.Random) -> None:
+    """One step of a seeded edit sequence: mostly inserts (half of them
+    positional), content growth and shrinkage, now and then a flush."""
+    store = updater.store
+    roll = rng.random()
+    if roll < 0.6:
+        parents = [n for n in store.tree if n.kind is NodeKind.ELEMENT]
+        parent = rng.choice(parents)
+        is_text = rng.random() < 0.4
+        updater.insert_node(
+            parent.node_id,
+            f"e{rng.randrange(6)}",
+            kind=NodeKind.TEXT if is_text else NodeKind.ELEMENT,
+            content="t" * rng.randint(0, 30) if is_text else None,
+            position=(
+                rng.randint(0, len(parent.children)) if rng.random() < 0.5 else None
+            ),
+        )
+    elif roll < 0.9:
+        node = rng.choice([n for n in store.tree if n.kind is NodeKind.TEXT])
+        updater.update_content(node.node_id, "c" * rng.choice((0, 3, 40, 100)))
+    else:
+        updater.flush()
+        assert_pages_match_scan(store)
+        verify_store_integrity(store)
+
+
+class TestMemberLists:
+    """``store.members`` is an invariant of every update, and the
+    whole-document scan it replaced is its oracle."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_op_keeps_members_and_every_flush_matches_the_scan(self, seed):
+        rng = random.Random(seed)
+        store = small_store()
+        assert_members_match_scan(store)
+        assert_pages_match_scan(store)
+        updater = StoreUpdater(store)
+        for _ in range(150):
+            try:
+                _random_edit(updater, rng)
+            except StorageError:
+                pass  # no room: a refused op must leave the lists intact too
+            assert_members_match_scan(store)
+        assert_invariants(updater)
+        assert updater.stats.record_splits >= 3
+        updater.flush()
+        assert_pages_match_scan(store)
+        verify_store_integrity(store)
+
+    def test_forced_splits_move_members_between_lists(self):
+        store = small_store()
+        updater = StoreUpdater(store)
+        for i in range(40):
+            updater.insert_node(0, f"n{i}", position=i % 3)
+            assert_members_match_scan(store)
+        updater.update_content(2, "x" * 100)
+        assert_members_match_scan(store)
+        assert updater.stats.record_splits >= 2
+        updater.flush()
+        assert_pages_match_scan(store)
+
+
+def _sectioned_store(sections: int) -> DocumentStore:
+    """A root with ``sections`` identical 10-node subtrees, one record
+    each: section ``i`` has the same node ids whatever ``sections`` is."""
+    body = "<s><t>text</t>" + "<u/>" * 7 + "</s>"
+    tree = parse_tree("<doc>" + body * sections + "</doc>")
+    intervals = [(0, 0)] + [(s.node_id, s.node_id) for s in tree.root.children]
+    return DocumentStore.build(
+        tree, Partitioning(intervals), StorageConfig(record_limit=LIMIT)
+    )
+
+
+def _edit_first_sections(store: DocumentStore) -> tuple[int, int]:
+    """One fixed script against the first eight sections; returns
+    (nodes in the dirty records at flush time, nodes_encoded counter)."""
+    updater = StoreUpdater(store)
+    for section in store.tree.root.children[:8]:
+        sid = section.node_id
+        for i in range(4):
+            updater.insert_node(sid, f"n{i}")
+        updater.insert_node(sid, "front", position=0)
+        updater.update_content(sid + 2, "x" * 60)  # the section's text node
+    assert updater.stats.record_splits >= 8
+    expected = sum(len(store.members[rid]) for rid in updater._dirty)
+    with telemetry.capture() as reg:
+        updater.flush()
+    return expected, reg.counters["storage.updates.nodes_encoded"].value
+
+
+class TestUpdateCostScaling:
+    def test_work_is_the_dirty_records_not_the_document(self, monkeypatch):
+        small, large = _sectioned_store(200), _sectioned_store(2000)
+        assert len(small.tree) == 2001 and len(large.tree) == 20001
+        whole_document_scans = []
+        tree_iter = Tree.__iter__
+
+        def counting_iter(tree):
+            whole_document_scans.append(len(tree))
+            return tree_iter(tree)
+
+        counts = []
+        for store in (small, large):
+            monkeypatch.setattr(Tree, "__iter__", counting_iter)
+            expected, encoded = _edit_first_sections(store)
+            monkeypatch.setattr(Tree, "__iter__", tree_iter)
+            assert encoded == expected
+            counts.append(encoded)
+            verify_store_integrity(store)
+        assert whole_document_scans == []  # apply + flush never walk the tree
+        assert counts[0] == counts[1] > 0
