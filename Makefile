@@ -1,8 +1,8 @@
 # Verification pipeline for the repro codebase.
 #
 #   make verify       # everything below, in order
-#   make lint         # repro-lint (+ ruff/mypy when installed)
-#   make analyze      # baselined repro-lint gate + SARIF report (analysis.sarif)
+#   make lint         # ruff + mypy when installed (skipped with a notice otherwise)
+#   make analyze      # repro-lint, once: all passes against the baseline + analysis.sarif
 #   make test         # tier-1 pytest suite
 #   make bench        # the BENCHMARK.json benchmark at --smoke size + its self-check
 #   make faults-smoke # small fault-injection matrix (crash/bitflip/torn)
@@ -33,13 +33,13 @@ lint:
 	else \
 		echo "lint: mypy not installed, skipping"; \
 	fi
-	$(PYTHON) -m repro.analysis.cli src/repro
 
-# The CI gate: every rule family (including the dataflow-driven CC/LIN
-# passes) against the committed baseline, emitting a SARIF report for
-# code-scanning upload. Fails on any new finding OR any stale baseline
-# entry (run `repro-lint --baseline analysis-baseline.json
-# --update-baseline src/repro` after fixing findings).
+# The one repro-lint gate: every rule family (including the
+# dataflow-driven CC/LIN passes) against the committed baseline,
+# emitting a SARIF report for code-scanning upload. Fails on any new
+# finding OR any stale baseline entry (run `repro-lint --baseline
+# analysis-baseline.json --update-baseline src/repro` after fixing
+# findings).
 analyze:
 	$(PYTHON) -m repro.analysis.cli --baseline analysis-baseline.json \
 		--format sarif --output analysis.sarif src/repro

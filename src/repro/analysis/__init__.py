@@ -9,9 +9,9 @@ This package is the correctness net around the partitioning system:
 * :mod:`repro.analysis.passes` / :mod:`repro.analysis.rules` — the lint
   pass framework and the repo-specific rules behind ``repro-lint``.
 * :mod:`repro.analysis.dataflow` — module-level def-use/escape analysis
-  (shared state, lock regions, worker entry points) over the call graph.
+  (shared state, lock regions) over the call graph.
 * :mod:`repro.analysis.concurrency` / :mod:`repro.analysis.linearity` —
-  the CC (guarded writes, fork safety, atomic updates) and LIN
+  the CC (guarded writes, atomic updates) and LIN
   (accidental O(n²) in kernels) rule families built on it.
 * :mod:`repro.analysis.baseline` / :mod:`repro.analysis.sarif` — the
   committed-baseline suppression workflow and SARIF 2.1.0 export.
@@ -47,7 +47,6 @@ from repro.analysis.contracts import (
 )
 from repro.analysis.dataflow import (
     DataflowInfo,
-    EntryPoint,
     StateAccess,
     StateVar,
     build_dataflow,
@@ -71,7 +70,6 @@ __all__ = [
     "load_baseline",
     "write_baseline",
     "DataflowInfo",
-    "EntryPoint",
     "StateAccess",
     "StateVar",
     "build_dataflow",

@@ -8,9 +8,6 @@ machine-checked half of the concurrency discipline documented in
 ======  ================================================================
 CC001   a state object declared ``# repro: guarded-by(<lock>)`` is
         written without that lock lexically held
-CC002   module state holding a lock, an open file descriptor, or an RNG
-        is reachable from a ``multiprocessing`` worker entry point
-        (fork/spawn duplicates or invalidates such objects silently)
 CC003   non-atomic read-modify-write (``+=``-style) on shared state —
         module globals or attributes of classes reachable from module
         globals — outside any lock
@@ -37,18 +34,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.analysis.dataflow import (
-    KIND_FILE,
-    KIND_LOCK,
-    KIND_RNG,
-    DataflowInfo,
-    StateAccess,
-    StateVar,
-)
+from repro.analysis.dataflow import DataflowInfo, StateAccess, StateVar
 from repro.analysis.passes import LintContext, LintPass, Violation, register_lint_pass
-
-#: resource kinds that do not survive a process fork intact
-_FORK_UNSAFE_KINDS = frozenset({KIND_LOCK, KIND_FILE, KIND_RNG})
 
 
 def _in_owner_init(info: DataflowInfo, state: StateVar, access: StateAccess) -> bool:
@@ -100,61 +87,6 @@ class GuardedWritePass(LintPass):
                         f"`{state.name}` is guarded-by(`{state.guard}`) but "
                         f"written here without it; wrap the write in "
                         f"`with {state.guard}:`"
-                    ),
-                )
-
-
-@register_lint_pass
-class ForkUnsafeStatePass(LintPass):
-    """Locks, file descriptors and RNGs must not leak into workers.
-
-    A forked child inherits copies of every module global: a copied lock
-    may be held forever, a copied file descriptor interleaves writes with
-    the parent, and a copied RNG replays the parent's stream — which for
-    the fault-injection plan means *every worker injects the same
-    faults*. The pass walks the call graph (plus class-instantiation
-    edges) from every function handed to a ``multiprocessing`` pool or
-    ``Process(target=...)`` and flags any module state tagged
-    lock/file/rng that the worker can touch."""
-
-    code = "CC002"
-    name = "fork-unsafe-state"
-    description = (
-        "module state holding a lock, file descriptor or RNG is reachable "
-        "from a multiprocessing worker entry point; pass the data in "
-        "explicitly or re-create the resource inside the worker"
-    )
-
-    def run(self, ctx: LintContext) -> Iterator[Violation]:
-        info = ctx.dataflow
-        reported: set[tuple[str, str]] = set()
-        for entry in info.entry_points:
-            if entry.kind != "process":
-                continue
-            reachable = info.reachable_from(entry.function)
-            for access in info.accesses:
-                if access.function not in reachable:
-                    continue
-                state = info.states[access.state]
-                if state.scope != "module":
-                    continue
-                hazards = set(state.kinds) & _FORK_UNSAFE_KINDS
-                if not hazards:
-                    continue
-                key = (state.qualname, entry.function)
-                if key in reported:
-                    continue
-                reported.add(key)
-                entry_name = info.graph.functions[entry.function].name
-                yield Violation(
-                    path=str(access.path),
-                    lineno=access.lineno,
-                    code=self.code,
-                    message=(
-                        f"`{state.name}` holds a {'/'.join(sorted(hazards))} and is "
-                        f"reached from worker entry `{entry_name}` "
-                        f"(dispatched at {entry.path}:{entry.lineno}); forked "
-                        "copies of it diverge silently"
                     ),
                 )
 

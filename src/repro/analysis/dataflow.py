@@ -8,8 +8,8 @@ ASTs itself — it queries the :class:`DataflowInfo` tables built here.
 The pass classifies three tiers of long-lived mutable state:
 
 * **module state** — module-level assignments whose value is a mutable
-  container (dict/list/set/``OrderedDict``/``deque``/...), a lock, an
-  RNG, an open file, or an instance of an analyzed class. Annotation-only
+  container (dict/list/set/``OrderedDict``/``deque``/...), a lock, or
+  an instance of an analyzed class. Annotation-only
   declarations (``_active: Optional[FaultPlan] = None``) classify
   through the named class.
 * **class state** — assignments in a class body (shared by every
@@ -17,10 +17,7 @@ The pass classifies three tiers of long-lived mutable state:
 * **instance state** — ``self.x = ...`` assignments inside methods.
 
 For every classified state object the pass records its *kind tags*
-(``mutable``, ``lock``, ``rng``, ``file``) — instances of analyzed
-classes inherit the tags of their attributes transitively, so a module
-global holding a ``FaultPlan`` is tagged ``rng`` because ``FaultPlan``
-holds a seeded ``random.Random``.
+(``mutable``, ``lock``, ``scalar``).
 
 On top of the state tables the pass computes:
 
@@ -33,11 +30,6 @@ On top of the state tables the pass computes:
   module globals (directly, through a ``global x; x = C()`` factory, or
   transitively: a class instantiated by a shared class's methods is
   itself shared).
-* **worker entry points** — functions handed to ``multiprocessing``
-  pools (``pool.map(f, ...)``), ``Process(target=f)`` or
-  ``Thread(target=f)``; together with :meth:`DataflowInfo.reachable_from`
-  (call edges plus *instantiation* edges) this answers "which state can
-  a forked worker touch".
 * **escapes** — states that leak out of their module through a
   ``return``/``yield``.
 
@@ -71,8 +63,6 @@ ANNOTATION_RE = re.compile(
 
 KIND_MUTABLE = "mutable"
 KIND_LOCK = "lock"
-KIND_RNG = "rng"
-KIND_FILE = "file"
 #: plain int/float instance attribute — a counter-style accumulator
 KIND_SCALAR = "scalar"
 
@@ -82,10 +72,6 @@ _MUTABLE_CALLS = frozenset(
 )
 _LOCK_CALLS = frozenset(
     {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event", "Barrier"}
-)
-_RNG_CALLS = frozenset({"Random", "SystemRandom"})
-_FILE_CALLS = frozenset(
-    {"open", "fdopen", "popen", "socket", "TemporaryFile", "NamedTemporaryFile"}
 )
 
 #: method names whose call mutates the receiver in place
@@ -109,11 +95,6 @@ MUTATOR_METHODS = frozenset(
         "move_to_end",
         "write",
     }
-)
-
-#: pool-style dispatch methods that hand a function to worker processes
-_POOL_DISPATCH = frozenset(
-    {"map", "imap", "imap_unordered", "starmap", "starmap_async", "apply", "apply_async", "submit"}
 )
 
 
@@ -171,17 +152,6 @@ class StateAccess:
     via: str = "store"
 
 
-@dataclass(frozen=True)
-class EntryPoint:
-    """A function handed to a worker pool / process / thread."""
-
-    function: str  # entry function qualname
-    kind: str  # "process" | "thread"
-    dispatcher: str  # function containing the dispatch call
-    path: Path
-    lineno: int
-
-
 @dataclass
 class DataflowInfo:
     """The def-use tables the concurrency rules query."""
@@ -190,8 +160,7 @@ class DataflowInfo:
     states: dict[str, StateVar] = field(default_factory=dict)
     accesses: list[StateAccess] = field(default_factory=list)
     shared_classes: set[str] = field(default_factory=set)
-    entry_points: list[EntryPoint] = field(default_factory=list)
-    #: extra call edges for Class() instantiations: (caller, class qualname)
+    #: Class() instantiation sites: (caller, class qualname)
     instantiations: list[tuple[str, str]] = field(default_factory=list)
 
     def accesses_of(self, state: str) -> list[StateAccess]:
@@ -212,30 +181,6 @@ class DataflowInfo:
 
     def escaping_states(self) -> list[StateVar]:
         return [s for s in self.states.values() if s.escapes]
-
-    def reachable_from(self, qualname: str) -> set[str]:
-        """Functions reachable through call *and* instantiation edges.
-
-        Instantiating an analyzed class counts as calling its
-        ``__init__`` — that is how a worker entry point reaches the
-        state its helper objects touch.
-        """
-        succ: dict[str, set[str]] = {}
-        for edge in self.graph.edges:
-            succ.setdefault(edge.caller, set()).add(edge.callee)
-        for caller, cls in self.instantiations:
-            init = self.graph.mro_method(cls, "__init__")
-            if init is not None:
-                succ.setdefault(caller, set()).add(init)
-        out: set[str] = {qualname}
-        frontier = [qualname]
-        while frontier:
-            current = frontier.pop()
-            for nxt in succ.get(current, ()):
-                if nxt not in out:
-                    out.add(nxt)
-                    frontier.append(nxt)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +229,6 @@ def _classify_value(
             return {KIND_MUTABLE}, None
         if tail in _LOCK_CALLS:
             return {KIND_MUTABLE, KIND_LOCK}, None
-        if tail in _RNG_CALLS:
-            return {KIND_MUTABLE, KIND_RNG}, None
-        if tail in _FILE_CALLS:
-            return {KIND_MUTABLE, KIND_FILE}, None
         cls = resolver.resolve(_dotted_name(expr.func))
         if cls is not None:
             return {KIND_MUTABLE}, cls
@@ -336,7 +277,7 @@ def _lock_name(expr: ast.expr) -> Optional[str]:
 
 
 class _ModuleWalker:
-    """One pass over a module: declarations, accesses, entries."""
+    """One pass over a module: declarations, accesses."""
 
     def __init__(
         self,
@@ -812,7 +753,6 @@ class _ModuleWalker:
                 cls = self.resolver.resolve(_dotted_name(sub.func))
                 if cls is not None:
                     self.info.instantiations.append((function, cls))
-                self._check_dispatch(sub, function)
                 continue
             if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(
                 getattr(sub, "ctx", ast.Load()), ast.Load
@@ -825,104 +765,9 @@ class _ModuleWalker:
                     if escaping:
                         self.info.states[state].escapes = True
 
-    # -- worker entry points ---------------------------------------------
-
-    def _module_imports_multiprocessing(self) -> bool:
-        for node in ast.walk(self.source.tree):
-            if isinstance(node, ast.Import):
-                if any(a.name.split(".")[0] == "multiprocessing" for a in node.names):
-                    return True
-            elif isinstance(node, ast.ImportFrom):
-                if (node.module or "").split(".")[0] in (
-                    "multiprocessing",
-                    "concurrent",
-                ):
-                    return True
-        return False
-
-    def _resolve_entry(self, expr: ast.expr) -> Optional[str]:
-        if not isinstance(expr, ast.Name):
-            return None
-        qualname = f"{self.source.module}.{expr.id}"
-        if qualname in self.graph.functions:
-            return qualname
-        imported = self.imports.resolve(expr.id)
-        if imported is not None and imported in self.graph.functions:
-            return imported
-        return None
-
-    def _check_dispatch(self, call: ast.Call, function: str) -> None:
-        func = call.func
-        tail = _call_tail(func)
-        if tail in ("Process", "Thread"):
-            for kw in call.keywords:
-                if kw.arg == "target":
-                    entry = self._resolve_entry(kw.value)
-                    if entry is not None:
-                        self.info.entry_points.append(
-                            EntryPoint(
-                                function=entry,
-                                kind="process" if tail == "Process" else "thread",
-                                dispatcher=function,
-                                path=self.source.path,
-                                lineno=call.lineno,
-                            )
-                        )
-            return
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _POOL_DISPATCH
-            and call.args
-            and self._module_imports_multiprocessing()
-        ):
-            entry = self._resolve_entry(call.args[0])
-            if entry is not None:
-                self.info.entry_points.append(
-                    EntryPoint(
-                        function=entry,
-                        kind="process",
-                        dispatcher=function,
-                        path=self.source.path,
-                        lineno=call.lineno,
-                    )
-                )
-
-
 # ---------------------------------------------------------------------------
 # cross-module passes
 # ---------------------------------------------------------------------------
-
-
-def _propagate_class_kinds(info: DataflowInfo) -> None:
-    """A class holding a lock/rng/file-tagged attribute is itself tagged,
-    and module state holding such a class inherits the tags (fixpoint
-    over the instance-of chains)."""
-    class_kinds: dict[str, set[str]] = {}
-    for state in info.states.values():
-        if state.owner is not None:
-            # scalar accumulators stay with their owner; only resource
-            # tags (lock/rng/file) make the *holder* fork-unsafe
-            class_kinds.setdefault(state.owner, set()).update(
-                state.kinds - {KIND_MUTABLE, KIND_SCALAR}
-            )
-    changed = True
-    while changed:
-        changed = False
-        for state in info.states.values():
-            if state.value_class is None:
-                continue
-            inherited = class_kinds.get(state.value_class, set())
-            if state.owner is not None and not (
-                inherited <= class_kinds.setdefault(state.owner, set())
-            ):
-                class_kinds[state.owner].update(inherited)
-                changed = True
-    for state in info.states.values():
-        extra: set[str] = set()
-        if state.value_class is not None:
-            extra = class_kinds.get(state.value_class, set())
-        if extra - set(state.kinds):
-            state.kinds = frozenset(set(state.kinds) | extra)
 
 
 def _compute_shared_classes(info: DataflowInfo) -> None:
@@ -972,6 +817,5 @@ def build_dataflow(files: Iterable[SourceFile], graph: CallGraph) -> DataflowInf
     # cross-module `module.state` reads
     for walker in walkers:
         walker.collect_accesses()
-    _propagate_class_kinds(info)
     _compute_shared_classes(info)
     return info

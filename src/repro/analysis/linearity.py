@@ -14,10 +14,9 @@ LIN002  ``list.insert``, ``list.pop(0)`` or ``in``-on-a-list inside a
 ======  ================================================================
 
 Scope: the passes only fire inside *kernel modules* — modules under
-``repro.partition``, ``repro.tree.flat`` and ``repro.bulkload.parallel``,
-or any module defining a ``Partitioner`` subclass (so fixtures and
-future kernels opt in by inheritance, and glue code elsewhere stays
-unconstrained).
+``repro.partition`` and ``repro.tree.flat``, or any module defining a
+``Partitioner`` subclass (so fixtures and future kernels opt in by
+inheritance, and glue code elsewhere stays unconstrained).
 
 The nested-loop check is deliberately handshake-aware: iterating
 ``node.children`` inside ``for node in tree.nodes()`` is O(sum of child
@@ -54,7 +53,7 @@ _NODE_STEMS = (
 )
 
 #: module prefixes that are kernel code regardless of class contents
-_KERNEL_PREFIXES = ("repro.partition", "repro.tree.flat", "repro.bulkload.parallel")
+_KERNEL_PREFIXES = ("repro.partition", "repro.tree.flat")
 
 
 def _is_kernel_module(ctx: LintContext, source: SourceFile) -> bool:

@@ -693,7 +693,7 @@ _BLOCKING_ENGINE_CALLS = frozenset(
         "evaluate",
         "resume_import",
         "tree_to_xml",
-        # method entry points (BulkLoader/ParallelBulkLoader.load,
+        # method entry points (BulkLoader.load,
         # DocumentStore.build/.warm_up, Partitioner.partition)
         "load",
         "build",

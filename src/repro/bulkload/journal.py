@@ -82,13 +82,10 @@ class ImportJournal:
     ``os.fsync`` before returning, so a crash immediately after a fault
     point finds the sealed prefix on disk.
 
-    **Single-writer, fork-unsafe.** ``_handle`` is an open file
-    descriptor: sharing one journal across threads interleaves half
-    lines, and inheriting it across ``fork`` (repro-lint rule CC002)
-    leaves parent and child racing the same file offset. The streaming
-    importer honors this by journaling only from the coordinating
-    process — :mod:`repro.bulkload.parallel` workers never see it; they
-    return results and the coordinator appends.
+    **Single-writer.** ``_handle`` is an open file descriptor: sharing
+    one journal across threads interleaves half lines. The streaming
+    importer honors this by journaling only from the thread that runs
+    the load.
     """
 
     def __init__(self, path: str | os.PathLike):

@@ -69,23 +69,11 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_import(args: argparse.Namespace) -> int:
-    if args.parallel is not None:
-        if args.spill_threshold is not None:
-            raise ReproError(
-                "--parallel and --spill-threshold are mutually exclusive: "
-                "spilling couples subtrees and is inherently sequential"
-            )
-        from repro.bulkload.parallel import ParallelBulkLoader
-
-        loader: BulkLoader | ParallelBulkLoader = ParallelBulkLoader(
-            algorithm=args.algorithm, limit=args.limit, workers=args.parallel
-        )
-    else:
-        loader = BulkLoader(
-            algorithm=args.algorithm,
-            limit=args.limit,
-            spill_threshold=args.spill_threshold,
-        )
+    loader = BulkLoader(
+        algorithm=args.algorithm,
+        limit=args.limit,
+        spill_threshold=args.spill_threshold,
+    )
     with telemetry.span("cli.import", algorithm=args.algorithm) as sp:
         result = loader.load(args.document)
     elapsed = sp.elapsed
@@ -524,14 +512,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=None,
         help="bound resident memory (slots); enables Sec. 4.3 spilling",
-    )
-    p.add_argument(
-        "--parallel",
-        type=int,
-        metavar="N",
-        default=None,
-        help="fan top-level subtrees over N worker processes "
-        "(deterministic ordered merge; incompatible with --spill-threshold)",
     )
     p.set_defaults(func=cmd_import)
 

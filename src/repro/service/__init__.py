@@ -2,8 +2,8 @@
 
 A stdlib-only asyncio service (see ``docs/SERVICE.md``):
 
-* ``POST /documents`` — bulk-load ingest (sequential or
-  :class:`~repro.bulkload.parallel.ParallelBulkLoader`), with journaled
+* ``POST /documents`` — bulk-load ingest
+  (:class:`~repro.bulkload.importer.BulkLoader`), with journaled
   crash-safe resume (``?journal=1`` / ``?resume=1``),
 * ``GET /documents/{doc_id}/query?xpath=...`` — measured XPath
   execution over :mod:`repro.query`,

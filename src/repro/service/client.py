@@ -225,7 +225,6 @@ class ServiceClient:
         doc_id: Optional[str] = None,
         algorithm: Optional[str] = None,
         limit: Optional[int] = None,
-        parallel: Optional[int] = None,
         journal: bool = False,
         resume: bool = False,
     ) -> dict[str, Any]:
@@ -234,7 +233,6 @@ class ServiceClient:
             "id": doc_id,
             "algorithm": algorithm,
             "limit": limit,
-            "parallel": parallel,
         }
         if journal:
             params["journal"] = "1"

@@ -34,6 +34,9 @@ from repro.service.middleware import (
 if TYPE_CHECKING:  # import cycle: app builds Handlers
     from repro.service.app import DocumentService, Router
 
+#: the query parameters ``POST /documents`` reads
+_INGEST_PARAMS = frozenset({"id", "algorithm", "limit", "journal", "resume"})
+
 #: counters surfaced (and summed) by /healthz as degradation signals —
 #: every one of these is zero in a healthy process
 DEGRADATION_COUNTERS = (
@@ -75,10 +78,19 @@ class Handlers:
     # -- document lifecycle ----------------------------------------------
 
     async def ingest(self, request: Request) -> Response:
-        """``POST /documents[?id=&algorithm=&limit=&parallel=&journal=&resume=]``
+        """``POST /documents[?id=&algorithm=&limit=&journal=&resume=]``
 
         Body: the XML document. 201 with the document info on success.
+        Any other query parameter is a 400: a misspelt ``?jounal=1``
+        must not ingest without the journal it asked for.
         """
+        unknown = sorted(request.params.keys() - _INGEST_PARAMS)
+        if unknown:
+            raise ValidationError(
+                f"POST /documents does not take query parameter(s) "
+                f"{', '.join(map(repr, unknown))}; allowed: "
+                f"{', '.join(sorted(_INGEST_PARAMS))}"
+            )
         if not request.body:
             raise ValidationError("POST /documents requires a non-empty XML body")
         info = await self.service.run_blocking(
@@ -87,7 +99,6 @@ class Handlers:
             doc_id=request.params.get("id"),
             algorithm=request.params.get("algorithm"),
             limit=request.param_int("limit", minimum=1),
-            parallel=request.param_int("parallel", minimum=1),
             journal=request.param_flag("journal"),
             resume=request.param_flag("resume"),
         )

@@ -31,6 +31,7 @@ journal — nothing to resume.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -48,6 +49,9 @@ from repro.service.middleware import (
     ValidationError,
 )
 from repro.storage.store import DocumentStore
+
+#: caller-chosen document ids: one URL path segment, one file name
+_DOC_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,127}")
 
 
 class ReadWriteLock:
@@ -372,7 +376,6 @@ class StoreRegistry:
         doc_id: Optional[str] = None,
         algorithm: Optional[str] = None,
         limit: Optional[int] = None,
-        parallel: Optional[int] = None,
         journal: bool = False,
         resume: bool = False,
     ) -> dict[str, Any]:
@@ -380,12 +383,14 @@ class StoreRegistry:
 
         ``journal=True`` makes the load crash-resumable; ``resume=True``
         replays the journal a previous failed ingest left behind
-        (requires the same document bytes). ``parallel=N`` fans
-        top-level subtrees over N worker processes via
-        :class:`~repro.bulkload.parallel.ParallelBulkLoader`.
+        (requires the same document bytes). A caller-chosen ``doc_id``
+        becomes a URL path segment and a journal file name, so it must
+        match ``[A-Za-z0-9][A-Za-z0-9._-]{0,127}``.
         """
-        if resume and parallel:
-            raise ValidationError("resume replays sequentially; drop ?parallel")
+        if doc_id is not None and _DOC_ID_RE.fullmatch(doc_id) is None:
+            raise ValidationError(
+                f"document id {doc_id!r} must match {_DOC_ID_RE.pattern}"
+            )
         entry = self._reserve(
             doc_id,
             algorithm or self.default_algorithm,
@@ -406,7 +411,7 @@ class StoreRegistry:
                 with telemetry.span(
                     "service.ingest", doc=entry.doc_id, resume=resume
                 ):
-                    result = self._load(entry, body, parallel, journal_path, resume)
+                    result = self._load(entry, body, journal_path, resume)
                     store = DocumentStore.build(result.tree, result.partitioning)
                     if self.index:
                         store.build_index()
@@ -437,7 +442,6 @@ class StoreRegistry:
         self,
         entry: DocumentEntry,
         body: bytes,
-        parallel: Optional[int],
         journal_path: Optional[str],
         resume: bool,
     ) -> ImportResult:
@@ -447,15 +451,8 @@ class StoreRegistry:
                     f"document {entry.doc_id!r} has no journal to resume"
                 )
             return resume_import(body, journal_path)
-        if parallel:
-            from repro.bulkload.parallel import ParallelBulkLoader
-
-            loader = ParallelBulkLoader(
-                algorithm=entry.algorithm, limit=entry.limit, workers=parallel
-            )
-            return loader.load(body, journal_path=journal_path)
-        sequential = BulkLoader(algorithm=entry.algorithm, limit=entry.limit)
-        return sequential.load(body, journal_path=journal_path)
+        loader = BulkLoader(algorithm=entry.algorithm, limit=entry.limit)
+        return loader.load(body, journal_path=journal_path)
 
     def query_document(self, doc_id: str, xpath: str, show: int = 0) -> dict[str, Any]:
         """Run one XPath query; returns measured costs (+ values if asked)."""

@@ -17,9 +17,7 @@ accumulation — a postorder without any traversal bookkeeping.
 
 A ``FlatTree`` is round-trippable: :meth:`FlatTree.to_tree` rebuilds an
 equivalent :class:`~repro.tree.node.Tree` (same ids, labels, weights,
-kinds, contents and sibling order). Because the arrays are plain lists of
-ints/strings, a ``FlatTree`` also pickles cheaply, which the parallel
-bulk loader uses to ship worker results between processes.
+kinds, contents and sibling order).
 """
 
 from __future__ import annotations

@@ -1,20 +1,13 @@
-"""Seeded CC001/CC002/CC003 violations for the concurrency rule family.
+"""Seeded CC001/CC003 violations for the concurrency rule family.
 
 Not importable as part of the real package — this fixture only feeds the
 analyzer tests (see README.md in this directory).
 """
 
 import threading
-from multiprocessing import Pool, Process
-from random import Random
-from threading import Thread
 
 _lock = threading.Lock()
 _registry = []  # repro: guarded-by(_lock)
-
-rng = Random(7)
-log = open("seed.log", "a")
-plain_cache = {}
 
 applied = 0
 MAX_RETRIES = 3  # ALL_CAPS constant: never classified as an accumulator
@@ -60,47 +53,6 @@ class Frames:
 
     def _evict(self, key):  # repro: holds(_latch)
         self._frames.pop(key)  # caller holds the guard: clean
-
-
-# -- CC002: fork-unsafe state reachable from worker entry points -------------
-
-
-def _stamp(record):
-    log.write(record)  # file handle: hazard when reached from a worker
-
-
-def work_chunk(chunk):
-    jitter = rng.random()  # rng read inside a process worker
-    _stamp(f"{chunk}:{jitter}")  # file reached through a call edge
-    return chunk
-
-
-def safe_chunk(chunk):
-    plain_cache[chunk] = chunk  # plain dict: no fork hazard
-    return chunk
-
-
-def fan_out(chunks):
-    with Pool() as pool:
-        pool.map(work_chunk, chunks)  # seed:CC002-pool
-        pool.map(safe_chunk, chunks)  # worker touches no hazard: clean
-
-
-def journal_worker(chunk):
-    _stamp(str(chunk))
-
-
-def spawn_one(chunk):
-    proc = Process(target=journal_worker, args=(chunk,))  # seed:CC002-process
-    proc.start()
-    return proc
-
-
-def thread_out(chunk):
-    # threads share the address space: rng use is CC003's problem, not CC002's
-    worker = Thread(target=work_chunk, args=(chunk,))
-    worker.start()
-    return worker
 
 
 # -- CC003: non-atomic read-modify-write on shared state ---------------------

@@ -112,7 +112,7 @@ class TestSarif:
         assert log["version"] == "2.1.0"
         run = log["runs"][0]
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rule_ids == ["CC001", "CC002", "CC003"]
+        assert rule_ids == ["CC001", "CC003"]
         (result,) = run["results"]
         assert result["ruleId"] == "CC003"
         assert result["ruleIndex"] == rule_ids.index("CC003")

@@ -10,7 +10,7 @@ from repro.analysis.passes import run_lint
 
 from tests.analysis.conftest import FIXTURES, seed_lines
 
-CC_CODES = ["CC001", "CC002", "CC003"]
+CC_CODES = ["CC001", "CC003"]
 
 
 @pytest.fixture(scope="module")
@@ -76,30 +76,6 @@ class TestGuardedWrites:
         )
         result = run_lint([module], select=["CC001"])
         assert [v.lineno for v in result.violations] == [9]
-
-
-class TestForkSafety:
-    def test_pool_worker_reaching_rng_and_file_reported(self, cc_result):
-        messages = [v.message for v in found(cc_result, "CC002")]
-        assert any("`rng`" in m and "work_chunk" in m for m in messages)
-        assert any("`log`" in m and "work_chunk" in m for m in messages)
-
-    def test_process_target_reported_via_call_edge(self, cc_result):
-        # journal_worker only touches the file through _stamp()
-        messages = [v.message for v in found(cc_result, "CC002")]
-        assert any("`log`" in m and "journal_worker" in m for m in messages)
-
-    def test_thread_target_and_plain_state_not_reported(self, cc_result):
-        messages = [v.message for v in found(cc_result, "CC002")]
-        assert not any("safe_chunk" in m for m in messages)
-        assert not any("plain_cache" in m for m in messages)
-
-    def test_one_report_per_state_and_entry(self, cc_result):
-        keyed = [
-            (v.message.split("`")[1], v.message.split("worker entry `")[1].split("`")[0])
-            for v in found(cc_result, "CC002")
-        ]
-        assert len(keyed) == len(set(keyed))
 
 
 class TestNonAtomicUpdates:

@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.dataflow import (
-    KIND_FILE,
     KIND_LOCK,
     KIND_MUTABLE,
-    KIND_RNG,
     KIND_SCALAR,
     build_dataflow,
     parse_annotations,
@@ -51,12 +49,9 @@ class TestStateClassification:
             tmp_path,
             mod="""
             import threading
-            from random import Random
 
             cache = {}
             _lock = threading.Lock()
-            rng = Random(3)
-            log = open("x", "a")
             hits = 0
             LIMIT = 64
             label = "name"
@@ -65,8 +60,6 @@ class TestStateClassification:
         kinds = {s.name: set(s.kinds) for s in info.states.values()}
         assert kinds["cache"] == {KIND_MUTABLE}
         assert KIND_LOCK in kinds["_lock"]
-        assert KIND_RNG in kinds["rng"]
-        assert KIND_FILE in kinds["log"]
         assert kinds["hits"] == {KIND_SCALAR}
         assert "LIMIT" not in kinds  # ALL_CAPS constants stay unclassified
         assert "label" not in kinds
@@ -98,13 +91,12 @@ class TestStateClassification:
         info = dataflow(
             tmp_path,
             mod="""
-            from random import Random
             from typing import Optional
 
 
             class Plan:
                 def __init__(self, seed):
-                    self.rng = Random(seed)
+                    self.seed = seed
 
 
             _active: Optional[Plan] = None
@@ -112,8 +104,7 @@ class TestStateClassification:
         )
         active = info.states["mod._active"]
         assert active.value_class == "mod.Plan"
-        # Plan holds an RNG, so anything holding a Plan is rng-tagged
-        assert KIND_RNG in active.kinds
+        assert set(active.kinds) == {KIND_MUTABLE}
 
 
 class TestAccessTracking:
@@ -261,71 +252,3 @@ class TestSharing:
         )
         assert "mod.Table" in info.shared_classes
         assert "mod.Slot" in info.shared_classes
-
-
-class TestEntryPoints:
-    def test_pool_and_process_dispatch(self, tmp_path):
-        info = dataflow(
-            tmp_path,
-            mod="""
-            from multiprocessing import Pool, Process
-            from threading import Thread
-
-
-            def work(x):
-                return x
-
-
-            def tend(x):
-                return x
-
-
-            def fan(xs):
-                with Pool() as pool:
-                    pool.map(work, xs)
-                Process(target=work).start()
-                Thread(target=tend).start()
-            """,
-        )
-        entries = {(e.function, e.kind) for e in info.entry_points}
-        assert ("mod.work", "process") in entries
-        assert ("mod.tend", "thread") in entries
-        assert ("mod.tend", "process") not in entries
-
-    def test_non_multiprocessing_map_ignored(self, tmp_path):
-        info = dataflow(
-            tmp_path,
-            mod="""
-            def work(x):
-                return x
-
-
-            def fan(pool, xs):
-                pool.map(work, xs)
-            """,
-        )
-        assert info.entry_points == []
-
-    def test_reachability_includes_instantiation_edges(self, tmp_path):
-        info = dataflow(
-            tmp_path,
-            mod="""
-            import threading
-
-
-            class Helper:
-                def __init__(self):
-                    self.gate = threading.Lock()
-
-
-            def work(x):
-                return Helper()
-
-
-            def far():
-                return 1
-            """,
-        )
-        reachable = info.reachable_from("mod.work")
-        assert "mod.Helper.__init__" in reachable
-        assert "mod.far" not in reachable

@@ -7,23 +7,34 @@ from repro.errors import InfeasiblePartitioningError, ReproError, XmlFormatError
 from repro.partition import evaluate_partitioning, get_algorithm
 from repro.xmlio import parse_tree, tree_to_xml
 
+from tests.conftest import tree_signature
+
 
 @pytest.fixture(scope="module")
 def corpus_xml(tiny_corpus):
     return {name: tree_to_xml(tree) for name, tree in tiny_corpus.items()}
 
 
+#: documents that stress the root's own frame: no children, root-only
+#: text, root attributes, text between the root's children, one deep chain
+EDGE_DOCUMENTS = [
+    "<r/>",
+    "<r>just text, no child elements</r>",
+    '<r a="1" b="2"><c/></r>',
+    "<r>before<a>x</a>between<b>y</b>after</r>",
+    "<r><only><child><chain>deep</chain></child></only></r>",
+]
+
+
 class TestTreeFidelity:
     def test_same_tree_as_parser(self, corpus_xml):
-        for name, xml in corpus_xml.items():
-            parsed = parse_tree(xml)
-            loaded = bulk_import(xml, algorithm="ekm", limit=256).tree
-            assert len(loaded) == len(parsed), name
-            assert [n.label for n in loaded] == [n.label for n in parsed]
-            assert [n.weight for n in loaded] == [n.weight for n in parsed]
-            assert [
-                n.parent.node_id if n.parent else -1 for n in loaded
-            ] == [n.parent.node_id if n.parent else -1 for n in parsed]
+        cases = [(xml, True) for xml in corpus_xml.values()]
+        cases += [(xml, True) for xml in EDGE_DOCUMENTS]
+        cases.append(("<r>  <a>x</a>\n  <b/>  </r>", False))
+        for xml, strip in cases:
+            parsed = parse_tree(xml, strip_whitespace=strip)
+            loaded = BulkLoader("ekm", 256, strip_whitespace=strip).load(xml).tree
+            assert tree_signature(loaded) == tree_signature(parsed), xml[:60]
 
 
 class TestBatchEquivalence:

@@ -164,6 +164,30 @@ class TestEndpoints:
             assert excinfo.value.status == expected
             assert excinfo.value.problem["status"] == expected
 
+    @pytest.mark.parametrize("param", ["parallel", "jounal"])
+    def test_unknown_ingest_parameter_400_names_it(self, client, param):
+        # a removed or misspelt knob must not ingest as if it were unset
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.request_json(
+                "POST",
+                "/documents",
+                params={"id": "d", param: "1"},
+                body=SAMPLE_XML.encode(),
+            )
+        assert excinfo.value.status == 400
+        assert repr(param) in excinfo.value.problem["detail"]
+        assert client.documents() == []
+
+    @pytest.mark.parametrize("doc_id", ["../escaped", "a/b"])
+    def test_document_id_that_is_no_path_segment_400(self, client, tmp_path, doc_id):
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.ingest("<a><b>", doc_id=doc_id, journal=True)
+        assert excinfo.value.status == 400
+        assert "document id" in excinfo.value.problem["detail"]
+        assert client.documents() == []
+        assert {p.name for p in tmp_path.iterdir()} <= {"journals"}
+        assert list((tmp_path / "journals").glob("*")) == []
+
     def test_query_missing_xpath_param_400(self, client):
         client.ingest(SAMPLE_XML, doc_id="q")
         with pytest.raises(ServiceClientError) as excinfo:
