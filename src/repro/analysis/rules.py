@@ -688,6 +688,7 @@ _BLOCKING_ENGINE_CALLS = frozenset(
         # module-level entry points
         "parse_tree",
         "iter_events",
+        "push_parse",
         "partition_tree",
         "run_query",
         "evaluate",

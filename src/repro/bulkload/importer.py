@@ -1,13 +1,18 @@
-"""The streaming bulkloader: events in, partitions out.
+"""The streaming bulkloader: parser callbacks in, partitions out.
 
-:class:`BulkLoader` consumes a parse-event stream exactly like the
-:func:`~repro.xmlio.parser.tree_from_events` builder (same node-id
-assignment, same whitespace handling — tests pin this equivalence), but
+:class:`BulkLoader` is a push consumer: expat calls the three handler
+methods of one ``_LoadState`` directly
+(:func:`~repro.xmlio.parser.push_parse` — no event object, generator or
+type dispatch in between), for plain, journaled and resumed loads alike.
+``_LoadState`` extends the parser's
+:class:`~repro.xmlio.parser.TreeBuilder` (same node-id assignment, same
+text merging and whitespace handling — tests pin this equivalence) and
 pushes every closing subtree through a streaming cut strategy
 (:mod:`repro.bulkload.strategies`). Partitions are *emitted* the moment
 they are decided; the loader tracks the resident weight a real importer
 would hold — everything parsed but not yet emitted — and reports its
-peak.
+peak. :meth:`BulkLoader.load_events` is the pull adapter: it replays a
+recorded event stream into the same three methods.
 
 The spill threshold implements Sec. 4.3's memory bound: whenever the
 resident weight exceeds it, the loader forces partitions out of the open
@@ -19,8 +24,8 @@ degrades partition quality but caps memory at roughly
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from repro import telemetry
 from repro.errors import (
@@ -39,15 +44,8 @@ from repro.bulkload.strategies import (
 from repro.faults import plan as faults
 from repro.partition.interval import Partitioning, SiblingInterval
 from repro.tree.node import NodeKind, Tree
-from repro.xmlio.events import (
-    Characters,
-    EndDocument,
-    EndElement,
-    ParseEvent,
-    StartDocument,
-    StartElement,
-)
-from repro.xmlio.parser import Source, iter_events
+from repro.xmlio.events import ParseEvent, replay
+from repro.xmlio.parser import Source, TreeBuilder, push_parse
 from repro.xmlio.weights import SlotWeightModel
 
 #: streaming algorithms available to the loader
@@ -127,7 +125,7 @@ class BulkLoader:
         completed with :func:`~repro.bulkload.journal.resume_import`.
         """
         if journal_path is None:
-            return self.load_events(iter_events(source))
+            return self._run(push_parse, source)
         journal = ImportJournal(journal_path)
         if _resume_state is None:
             if os.path.exists(journal.path) and os.path.getsize(journal.path) > 0:
@@ -146,9 +144,7 @@ class BulkLoader:
         else:
             journal.open()
         try:
-            return self.load_events(
-                iter_events(source), journal=journal, resume=_resume_state
-            )
+            return self._run(push_parse, source, journal, _resume_state)
         finally:
             journal.close()
 
@@ -158,11 +154,23 @@ class BulkLoader:
         journal: Optional[ImportJournal] = None,
         resume: Optional[JournalState] = None,
     ) -> ImportResult:
+        """Import a recorded event stream (the pull adapter: the events
+        are replayed into the handlers expat calls in :meth:`load`)."""
+        return self._run(replay, events, journal, resume)
+
+    def _run(
+        self,
+        drive: Callable,
+        document,
+        journal: Optional[ImportJournal] = None,
+        resume: Optional[JournalState] = None,
+    ) -> ImportResult:
+        """One import: ``drive`` (``push_parse`` over a source, ``replay``
+        over events) calls the load state's three handlers."""
         with telemetry.span("bulkload.import", algorithm=self.algorithm):
             state = _LoadState(self, journal=journal, resume=resume)
-            for event in events:
-                state.handle(event)
-            result = state.finish()
+            drive(document, state.start, state.end, state.characters)
+            result = state.complete()
         if telemetry.enabled():
             telemetry.count("bulkload.runs")
             telemetry.count("bulkload.events", result.events)
@@ -188,8 +196,10 @@ def bulk_import(
     )
 
 
-class _LoadState:
-    """Mutable per-import state (tree under construction, frames, stats)."""
+class _LoadState(TreeBuilder):
+    """Mutable per-import state and the handler trio expat calls: the
+    tree under construction (:class:`TreeBuilder`, whose ``open`` stack
+    holds :class:`Frame` objects here), the strategy's frames, stats."""
 
     def __init__(
         self,
@@ -197,7 +207,9 @@ class _LoadState:
         journal: Optional[ImportJournal] = None,
         resume: Optional[JournalState] = None,
     ):
-        self.loader = loader
+        super().__init__(loader.wm, loader.strip_whitespace)
+        self.limit = loader.limit
+        self.spill_threshold = loader.spill_threshold
         self.journal = journal
         self.resume = resume
         self.intervals: list[SiblingInterval] = []
@@ -205,13 +217,9 @@ class _LoadState:
         self.peak_resident = 0
         self.total_weight = 0
         self.spills = 0
-        self.events = 0
         self.seals = 0
         #: intervals already covered by a seal (or seal verification)
         self._sealed_intervals = 0
-        self.tree: Optional[Tree] = None
-        self.frames: list[Frame] = []
-        self.pending_text: list[str] = []
         self.strategy: StreamStrategy = STRATEGY_CLASSES[loader.algorithm](
             loader.limit, self._emit
         )
@@ -235,23 +243,23 @@ class _LoadState:
         self.resident -= freed_weight
 
     def _grow(self, weight: int) -> None:
-        if weight > self.loader.limit:
+        if weight > self.limit:
             raise InfeasiblePartitioningError(
-                f"a node of weight {weight} exceeds K={self.loader.limit}"
+                f"a node of weight {weight} exceeds K={self.limit}"
             )
         self.resident += weight
         self.total_weight += weight
         if self.resident > self.peak_resident:
             self.peak_resident = self.resident
 
-    def _maybe_spill(self) -> None:
-        threshold = self.loader.spill_threshold
-        if threshold is None:
-            return
+    def _spill(self) -> None:
+        """Force partitions out of the open frames until the resident
+        weight fits the threshold again (callers check there is one)."""
+        threshold = self.spill_threshold
         spilled = False
         while self.resident > threshold:
             frame = max(
-                self.frames,
+                self.open,
                 key=self.strategy.spillable_weight,
                 default=None,
             )
@@ -296,87 +304,81 @@ class _LoadState:
         if faults.armed():
             faults.check("bulkload.spill", seal=self.seals, events=self.events)
 
-    # -- event handling ----------------------------------------------------
+    # -- the handlers expat calls ------------------------------------------
 
-    def handle(self, event: ParseEvent) -> None:
+    def start(self, name: str, attrs: list) -> None:
         self.events += 1
-        if isinstance(event, StartElement):
+        if faults.armed():
+            faults.check("parser.event", index=self.events)
+        if self.pending:
             self._flush_text()
-            self._start_element(event)
-        elif isinstance(event, EndElement):
-            self._flush_text()
-            self._end_element()
-        elif isinstance(event, Characters):
-            self.pending_text.append(event.text)
-        elif isinstance(event, (StartDocument, EndDocument)):
-            pass
-
-    def _start_element(self, event: StartElement) -> None:
-        wm = self.loader.wm
-        weight = wm.element_weight()
-        if self.tree is None:
-            self.tree = Tree(event.name, weight, NodeKind.ELEMENT)
-            node = self.tree.root
-        else:
-            if not self.frames:
-                raise XmlFormatError("multiple document elements")
-            parent = self.tree.node(self.frames[-1].node_id)
-            node = self.tree.add_child(parent, event.name, weight, NodeKind.ELEMENT)
+        weight = self.element_weight
+        frames = self.open
+        node = self._element(name, weight, frames[-1].node if frames else None)
         self._grow(weight)
-        frame = Frame(node_id=node.node_id, weight=weight)
-        self.frames.append(frame)
-        for name, value in event.attributes:
-            aw = wm.attribute_weight(value)
-            attr = self.tree.add_child(node, name, aw, NodeKind.ATTRIBUTE, value)
-            self._grow(aw)
-            frame.children.append(self.strategy.leaf_summary(attr.node_id, aw))
-        self._maybe_spill()
+        frame = Frame(node.node_id, weight, [], node)
+        frames.append(frame)
+        if attrs:
+            wm = self.wm
+            for i in range(0, len(attrs), 2):
+                value = attrs[i + 1]
+                self._leaf(
+                    frame, attrs[i], wm.attribute_weight(value), NodeKind.ATTRIBUTE, value
+                )
+        if self.spill_threshold is not None:
+            self._spill()
 
     def _flush_text(self) -> None:
-        if not self.pending_text:
-            return
-        text = "".join(self.pending_text)
-        self.pending_text.clear()
-        if self.loader.strip_whitespace and not text.strip():
-            return
-        if self.tree is None or not self.frames:
-            raise XmlFormatError("character data outside the document element")
-        weight = self.loader.wm.text_weight(text)
-        parent = self.tree.node(self.frames[-1].node_id)
-        node = self.tree.add_child(parent, "#text", weight, NodeKind.TEXT, text)
-        self._grow(weight)
-        self.frames[-1].children.append(self.strategy.leaf_summary(node.node_id, weight))
-        self._maybe_spill()
+        text = self._take_text()
+        if text is not None:
+            self._leaf(
+                self.open[-1], "#text", self.wm.text_weight(text), NodeKind.TEXT, text
+            )
+            if self.spill_threshold is not None:
+                self._spill()
 
-    def _end_element(self) -> None:
-        if not self.frames:
-            raise XmlFormatError("unbalanced closing tag")
-        frame = self.frames.pop()
-        summary = self.strategy.close(frame)
-        if self.frames:
-            self.frames[-1].children.append(summary)
+    def _leaf(
+        self, frame: Frame, label: str, weight: int, kind: NodeKind, content: str
+    ) -> None:
+        """A text / attribute node under the open element ``frame``; its
+        summary is never cut on its own unless the parent decides so."""
+        node = self.tree.add_child(  # type: ignore[union-attr]
+            frame.node, label, weight, kind, content
+        )
+        self._grow(weight)
+        frame.children.append(ChildSummary(node.node_id, weight, weight))
+
+    def end(self, name: str) -> None:
+        self.events += 1
+        if faults.armed():
+            faults.check("parser.event", index=self.events)
+        if self.pending:
+            self._flush_text()
+        frames = self.open
+        if not frames:
+            raise XmlFormatError(f"unexpected closing tag {name!r}")
+        summary = self.strategy.close(frames.pop())
+        if frames:
+            frames[-1].children.append(summary)
         else:
             self.root_summary = summary
-        self._maybe_spill()
+        if self.spill_threshold is not None:
+            self._spill()
 
     # -- completion ---------------------------------------------------------
 
-    def finish(self) -> ImportResult:
-        if self.tree is None:
-            raise XmlFormatError("document contains no elements")
-        if self.frames:
-            raise XmlFormatError("document ended with unclosed elements")
+    def complete(self) -> ImportResult:
+        tree = self.finish()
         summary = self.root_summary
         assert summary is not None
         # EKM: the root's own binary residual check happens here, because
         # the root has no parent-close to do it (see strategies module).
-        if summary.own_weight + summary.res_first > self.loader.limit and summary.res_first:
+        if summary.own_weight + summary.res_first > self.limit and summary.res_first:
             self._emit(
                 SiblingInterval(summary.first_child, summary.first_chain_end),
                 summary.res_first,
             )
-        root_iv = SiblingInterval(self.tree.root.node_id, self.tree.root.node_id)
-        self.intervals.append(root_iv)
+        self.intervals.append(SiblingInterval(0, 0))
         self.resident = max(0, self.resident)
         # The finalize fault point fires *before* the commit record: a
         # crash here leaves a sealed-but-uncommitted journal, the state
@@ -386,7 +388,7 @@ class _LoadState:
         self._commit_journal()
         return ImportResult(
             partitioning=Partitioning(self.intervals),
-            tree=self.tree,
+            tree=tree,
             peak_resident_weight=self.peak_resident,
             final_resident_weight=self.resident,
             total_weight=self.total_weight,

@@ -19,12 +19,13 @@ from typing import Callable, Optional
 
 from repro.errors import InfeasiblePartitioningError
 from repro.partition.interval import SiblingInterval
+from repro.tree.node import TreeNode
 
 #: callback: (interval, freed_weight) -> None
 EmitFn = Callable[[SiblingInterval, int], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class ChildSummary:
     """What a parent remembers about a closed child subtree."""
 
@@ -41,13 +42,16 @@ class ChildSummary:
     res_first: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """An open element: weight so far plus closed-children summaries."""
 
     node_id: int
     weight: int
     children: list[ChildSummary] = field(default_factory=list)
+    #: the element's tree node — the loader hangs children off it
+    #: directly instead of looking the parent up by id per child
+    node: Optional[TreeNode] = None
 
     def uncut_children(self) -> list[ChildSummary]:
         return [c for c in self.children if not c.emitted]
@@ -72,11 +76,6 @@ class StreamStrategy(abc.ABC):
 
         Returns the freed weight (0 if nothing can be spilled here).
         """
-
-    def leaf_summary(self, node_id: int, weight: int) -> ChildSummary:
-        """Summary for text/attribute leaves (never cut on their own
-        unless a parent decides so)."""
-        return ChildSummary(node_id=node_id, own_weight=weight, residual=weight)
 
     def spillable_weight(self, frame: Frame) -> int:
         """Weight a spill on this frame could free (for frame selection)."""

@@ -1,11 +1,10 @@
 """Record manager: packs record blobs onto pages.
 
-First-fit with a small free-space cache: each record goes to the first
-existing page with room, else a fresh page is allocated. This reproduces
-the paper's observation that *smaller* records (KM) pack slightly better
-than EKM's large ones — big records leave unusable tails on pages, so
-EKM occupies marginally more total disk space despite having far fewer
-records (Table 3, first row).
+First-fit: each record goes to the first existing page with room, else a
+fresh page is allocated. This reproduces the paper's observation that
+*smaller* records (KM) pack slightly better than EKM's large ones — big
+records leave unusable tails on pages, so EKM occupies marginally more
+total disk space despite having far fewer records (Table 3, first row).
 """
 
 from __future__ import annotations

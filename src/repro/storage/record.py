@@ -38,7 +38,7 @@ NO_PARENT = 0xFFFF
 DOCUMENT_ROOT = 0xFFFFFFFF
 
 
-@dataclass
+@dataclass(slots=True)
 class RecordNode:
     """One serialized node inside a record."""
 
@@ -87,10 +87,15 @@ class RecordCodec:
     def encode(self, record: Record) -> bytes:
         if len(record.nodes) >= NO_PARENT:
             raise StorageError(f"record {record.record_id} has too many nodes")
-        roots = sum(1 for n in record.nodes if n.parent_slot == NO_PARENT)
-        out = [struct.pack("<HH", len(record.nodes), roots)]
+        # one pass: node headers into ``out`` (slot 0 is the record
+        # header, patched in once the roots are counted), contents aside
+        pack = _NODE_FMT.pack
+        out = [b""]
+        contents = []
+        roots = 0
         for node in record.nodes:
-            if len(node.content) > 0xFFFF:
+            content = node.content
+            if len(content) > 0xFFFF:
                 raise StorageError(
                     f"node {node.node_id} content exceeds 64 KiB record field"
                 )
@@ -98,18 +103,22 @@ class RecordCodec:
                 raise StorageError(
                     f"node {node.node_id} sibling position exceeds 16 bits"
                 )
+            if node.parent_slot == NO_PARENT:
+                roots += 1
             out.append(
-                _NODE_FMT.pack(
+                pack(
                     node.node_id,
-                    int(node.kind),
+                    node.kind,
                     node.label_id,
                     node.parent_slot,
                     node.parent_node_id,
                     node.position,
-                    len(node.content),
+                    len(content),
                 )
             )
-        out.extend(node.content for node in record.nodes)
+            contents.append(content)
+        out[0] = struct.pack("<HH", len(record.nodes), roots)
+        out += contents
         blob = b"".join(out)
         if self.capacity_bytes is not None and len(blob) > self.capacity_bytes:
             raise RecordOverflowError(

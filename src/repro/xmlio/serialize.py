@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import os
-from typing import IO, Union
+from typing import IO, Iterator, Optional, Union
 from xml.sax.saxutils import escape, quoteattr
 
 from repro.errors import XmlFormatError
@@ -36,37 +36,41 @@ def write_xml(tree: Tree, path: Union[str, os.PathLike, IO[str]]) -> None:
         handle.write(text)
 
 
+#: character data keeps its carriage returns only as a character
+#: reference: a literal CR (or CR LF) is normalized to LF on reparse
+#: (attribute values are safe — ``quoteattr`` writes ``&#13;`` itself)
+_TEXT_ENTITIES = {"\r": "&#13;"}
+
+
 def _write_node(out: io.StringIO, root: TreeNode) -> None:
-    # Iterative serializer: frames are (node, child_cursor); -1 = not opened.
-    stack: list[tuple[TreeNode, int]] = [(root, -1)]
-    while stack:
-        node, cursor = stack.pop()
+    # Iterative serializer: one frame per open element, holding an
+    # iterator over its content children so each list is walked once.
+    write = out.write
+    frames: list[tuple[Optional[TreeNode], Iterator[TreeNode]]] = [(None, iter((root,)))]
+    while frames:
+        parent, rest = frames[-1]
+        node = next(rest, None)
+        if node is None:
+            frames.pop()
+            if parent is not None:
+                write(f"</{parent.label}>")
+            continue
         if node.kind is NodeKind.TEXT:
-            out.write(escape(node.content or ""))
+            write(escape(node.content or "", _TEXT_ENTITIES))
             continue
         if node.kind is NodeKind.ATTRIBUTE:
             raise XmlFormatError(
                 f"attribute node {node.label!r} outside an element start tag"
             )
-        if cursor == -1:
-            out.write(f"<{node.label}")
-            content_children: list[TreeNode] = []
-            for child in node.children:
-                if child.kind is NodeKind.ATTRIBUTE:
-                    out.write(f" {child.label}={quoteattr(child.content or '')}")
-                else:
-                    content_children.append(child)
-            if not content_children:
-                out.write("/>")
-                continue
-            out.write(">")
-            stack.append((node, 0))
-            stack.append((content_children[0], -1))
-            continue
-        content_children = [c for c in node.children if c.kind is not NodeKind.ATTRIBUTE]
-        nxt = cursor + 1
-        if nxt < len(content_children):
-            stack.append((node, nxt))
-            stack.append((content_children[nxt], -1))
+        write(f"<{node.label}")
+        content_children: list[TreeNode] = []
+        for child in node.children:
+            if child.kind is NodeKind.ATTRIBUTE:
+                write(f" {child.label}={quoteattr(child.content or '')}")
+            else:
+                content_children.append(child)
+        if content_children:
+            write(">")
+            frames.append((node, iter(content_children)))
         else:
-            out.write(f"</{node.label}>")
+            write("/>")

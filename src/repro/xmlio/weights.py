@@ -35,7 +35,8 @@ class SlotWeightModel:
         """Slots for a content string (UTF-8 length, slot-aligned)."""
         if not content:
             return 0
-        nbytes = len(content.encode("utf-8"))
+        # an ASCII string is as many bytes as characters: no encode needed
+        nbytes = len(content) if content.isascii() else len(content.encode("utf-8"))
         return -(-nbytes // self.slot_size)
 
     def weight(self, kind: NodeKind, content: str | None = None) -> int:
@@ -49,13 +50,13 @@ class SlotWeightModel:
         return self.metadata_slots
 
     def element_weight(self) -> int:
-        return self.weight(NodeKind.ELEMENT)
+        return self.metadata_slots
 
     def text_weight(self, text: str) -> int:
-        return self.weight(NodeKind.TEXT, text)
+        return self.metadata_slots + self.content_slots(text)
 
     def attribute_weight(self, value: str) -> int:
-        return self.weight(NodeKind.ATTRIBUTE, value)
+        return self.metadata_slots + self.content_slots(value)
 
     def bytes_for_weight(self, weight: int) -> int:
         """Storage bytes a given weight occupies."""

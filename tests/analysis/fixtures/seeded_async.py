@@ -19,6 +19,10 @@ async def query_inline(store, xpath):
     return run_query(store, xpath)  # seed:RB002-query  # noqa: F821
 
 
+async def push_inline(body, handlers):
+    push_parse(body, *handlers)  # seed:RB002-push  # noqa: F821
+
+
 async def resume_inline(body, journal_path):
     return resume_import(body, journal_path)  # seed:RB002-resume  # noqa: F821
 

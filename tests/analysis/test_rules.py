@@ -283,6 +283,7 @@ class TestSeededViolations:
             tags["RB002-build"],
             tags["RB002-warmup"],
             tags["RB002-query"],
+            tags["RB002-push"],
             tags["RB002-resume"],
             tags["RB002-partition"],
         }

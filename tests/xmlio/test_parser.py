@@ -165,3 +165,90 @@ class TestParseTree:
         events = [StartDocument(), StartElement("a", ()), EndElement("a"), EndElement("a")]
         with pytest.raises(XmlFormatError):
             tree_from_events(events)
+
+
+class TestPushCore:
+    """``push_parse``: expat calls the handler trio directly."""
+
+    def test_handlers_see_names_flat_attributes_and_text(self):
+        from repro.xmlio.parser import push_parse
+
+        calls = []
+        push_parse(
+            '<a x="1" y="2"><b>hi</b></a>',
+            lambda name, attrs: calls.append(("start", name, list(attrs))),
+            lambda name: calls.append(("end", name)),
+            lambda data: calls.append(("text", data)),
+        )
+        assert calls == [
+            ("start", "a", ["x", "1", "y", "2"]),
+            ("start", "b", []),
+            ("text", "hi"),
+            ("end", "b"),
+            ("end", "a"),
+        ]
+
+    def test_replay_is_the_inverse_of_iter_events(self):
+        from repro.xmlio.events import replay
+        from repro.xmlio.parser import push_parse
+
+        pushed, replayed = [], []
+        for sink, drive, document in (
+            (pushed, push_parse, SIMPLE),
+            (replayed, replay, iter_events(SIMPLE)),
+        ):
+            drive(
+                document,
+                lambda name, attrs, sink=sink: sink.append((name, list(attrs))),
+                lambda name, sink=sink: sink.append(name),
+                lambda data, sink=sink: sink.append(("#", data)),
+            )
+        assert replayed == pushed
+
+    def test_handler_exceptions_are_not_laundered_into_parse_errors(self):
+        # real work runs inside parser.Parse now: a ValueError out of a
+        # handler is the consumer's bug, not "XML parse error: ..."
+        from repro.xmlio.parser import push_parse
+
+        def start(name, attrs):
+            if name == "b":
+                raise ValueError("handler bug")
+
+        with pytest.raises(ValueError, match="^handler bug$") as info:
+            push_parse("<a>\n<b/></a>", start, lambda name: None, lambda data: None)
+        assert not isinstance(info.value, XmlFormatError)
+
+        def characters(data):
+            raise LookupError("no such key")
+
+        with pytest.raises(LookupError, match="no such key"):
+            push_parse("<a>t</a>", lambda n, a: None, lambda n: None, characters)
+
+    @pytest.mark.parametrize(
+        "document, line, column",
+        [
+            ("<a>\n  <b>tex", 2, 9),  # truncated (offset 8 is the end of input)
+            ("<a>\n<b></a>", 2, 6),  # mismatched tag
+            ("<a/>\n\n junk", 3, 2),  # junk after the root
+        ],
+    )
+    def test_expat_errors_keep_their_one_based_position(self, document, line, column):
+        from repro.xmlio.parser import push_parse
+
+        for parse in (
+            lambda: push_parse(document, lambda n, a: None, lambda n: None, lambda d: None),
+            lambda: list(iter_events(document)),
+            lambda: parse_tree(document),
+        ):
+            with pytest.raises(XmlFormatError, match="XML parse error") as info:
+                parse()
+            assert (info.value.line, info.value.column) == (line, column)
+
+    def test_undecodable_declared_encodings_are_format_errors(self):
+        # pyexpat raises these itself (ValueError / LookupError, not
+        # ExpatError); they originate in the parser, so they are wrapped
+        for encoding in ("shift_jis", "no-such-encoding"):
+            document = f'<?xml version="1.0" encoding="{encoding}"?><a/>'.encode()
+            with pytest.raises(XmlFormatError, match="XML parse error") as info:
+                parse_tree(document)
+            assert info.value.line == 1
