@@ -31,7 +31,11 @@ def main() -> None:
 
     # Simulate recovery: only the decoded records + label dictionary.
     records = [store.fetch_record(rid) for rid in range(store.record_count)]
-    blob_bytes = sum(len(store.codec.encode(r)) for r in records)
+    manager = store.manager
+    blob_bytes = sum(
+        len(manager.pages[page_id].get(rid))
+        for rid, page_id in manager.page_of_record.items()
+    )
     print(f"recovering from {blob_bytes} record payload bytes …")
 
     rebuilt = reconstruct_tree(records, store.labels)

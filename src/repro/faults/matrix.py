@@ -19,8 +19,11 @@ this package only makes possible:
 in-place updates: a deterministic scripted update workload runs against
 a WAL-attached store and is killed at every sampled WAL record boundary
 (``wal.append``), group-commit fsync (``wal.fsync``) and page apply
-(``updates.flush``); each time, only the page images and the log file
-"survive", :func:`repro.recovery.recover_store` rebuilds the store, and
+(``updates.flush``). Flushes do not checkpoint until the log holds
+:data:`~repro.recovery.wal.CHECKPOINT_BYTES`, so later crashes leave a
+log of several committed transactions behind. Each time, only the page
+images and the log file "survive",
+:func:`repro.recovery.recover_store` rebuilds the store, and
 the matrix asserts the recovered bytes land exactly on a flush boundary
 of the uninterrupted control run, then replays the remaining script and
 asserts final byte-identity, partitioning equality and full
@@ -75,6 +78,9 @@ class FaultScenario:
     rule: str
     passed: bool
     detail: str = ""
+    #: committed transactions the log held when recovery read it (update
+    #: crash cells only)
+    committed_txns: int = 0
 
 
 @dataclass
@@ -100,6 +106,13 @@ class MatrixReport:
 
     def summary(self) -> str:
         lines = [f"fault matrix: {self.passed}/{len(self.scenarios)} scenarios passed"]
+        multi = sum(1 for s in self.scenarios if s.committed_txns >= 2)
+        if multi:
+            lines.append(
+                f"  {multi} crash cell(s) recovered from a log holding >= 2 "
+                f"committed transactions (up to "
+                f"{max(s.committed_txns for s in self.scenarios)})"
+            )
         for scenario in self.scenarios:
             mark = "ok " if scenario.passed else "FAIL"
             line = f"  [{mark}] {scenario.name:<28} {scenario.rule}"
@@ -426,7 +439,7 @@ def _update_crash_scenario(
         except (InjectedFaultError, OSError):
             pass  # recovery itself crashed; the retry below must succeed
     try:
-        recovered, _report = recover_store(surviving, wal_path, workload.config)
+        recovered, report = recover_store(surviving, wal_path, workload.config)
     except Exception as exc:
         return FaultScenario(name, rule.spec(), False, f"recovery failed: {exc!r}")
     fingerprint = store_fingerprint(recovered)
@@ -450,10 +463,14 @@ def _update_crash_scenario(
         verify_store_integrity(recovered)
     except StorageError as exc:
         return FaultScenario(name, rule.spec(), False, f"corrupt read: {exc!r}")
-    note = f"recovered at boundary {boundary}/{len(workload.checkpoints) - 1}"
+    txns = report.committed_transactions
+    note = (
+        f"recovered at boundary {boundary}/{len(workload.checkpoints) - 1} "
+        f"from a log of {txns} committed txn(s)"
+    )
     if detail:
         note += f"; {detail}"
-    return FaultScenario(name, rule.spec(), True, note)
+    return FaultScenario(name, rule.spec(), True, note, txns)
 
 
 def _tear_wal_tail(surviving, wal_path: str, rng: Random) -> str:
@@ -554,11 +571,10 @@ def run_update_crash_matrix(
             cells.append((FaultRule("updates.flush", "raise", hit=hit), {}))
         for hit in _sample(hits.get("wal.append", 0), max_crash_points):
             cells.append((FaultRule("wal.append", "raise", hit=hit), {}))
-        # wal.fsync hit 1 is the attach-time snapshot, before any update
-        # exists to recover — the sweep starts at the first group commit
+        # the control arms its plan after attach_wal, so every wal.fsync
+        # hit is a group commit (or a size-triggered checkpoint)
         for hit in _sample(hits.get("wal.fsync", 0), max_crash_points):
-            if hit >= 2:
-                cells.append((FaultRule("wal.fsync", "io-error", hit=hit), {}))
+            cells.append((FaultRule("wal.fsync", "io-error", hit=hit), {}))
         mid_append = max(2, hits.get("wal.append", 2) // 2)
         cells.append(
             (

@@ -14,11 +14,18 @@ gone. Recovery rebuilds a byte-identical store in four steps:
    overwritten from the log, then the page is resealed. Damage to a
    record the log never imaged is unrecoverable by redo and raises
    :class:`~repro.errors.RecoveryError` if the record fails to decode.
-3. **Redo** — committed images the pages don't already hold are
-   re-applied in commit order. Redo is idempotent (an image equal to the
-   stored blob is skipped), so recovery interrupted by a second crash
-   simply runs again. The ``updates.flush`` fault point fires before
-   each re-apply — the chaos matrix uses it to kill recovery itself.
+3. **Redo** — each record's *newest* committed image is re-applied if
+   the pages don't already hold it, in the commit order of the
+   transactions those images belong to. The log keeps committed
+   transactions until it reaches
+   :data:`~repro.recovery.wal.CHECKPOINT_BYTES`, so a record can have
+   several images; an older one is superseded history, and installing
+   it first could migrate the record to another page (it may not fit
+   its page at the newer generation) and break byte identity. Redo is
+   idempotent (an image equal to the stored blob is skipped), so
+   recovery interrupted by a second crash simply runs again. The
+   ``updates.flush`` fault point fires before each re-apply — the chaos
+   matrix uses it to kill recovery itself.
 4. **Rebuild** — every record is decoded and the document tree is
    reconstructed (:func:`~repro.storage.reconstruct.reconstruct_tree`,
    node ids preserved) with the label dictionary recovered from the
@@ -158,10 +165,16 @@ def _repair_pages(
 def _redo(
     manager: RecordManager, state: WalState, report: RecoveryReport
 ) -> None:
-    """Re-apply committed after-images the pages don't already hold."""
+    """Re-apply each record's newest committed after-image unless the
+    pages already hold it."""
+    newest = {
+        record_id: txn.txn_id for txn in state.committed for record_id, _ in txn.images
+    }
     for txn in state.committed:
         replayed = False
         for record_id, blob in txn.images:
+            if newest[record_id] != txn.txn_id:
+                continue  # a later committed transaction supersedes it
             page_id = manager.page_of_record.get(record_id)
             if (
                 page_id is not None
@@ -262,8 +275,7 @@ def recover_store(
         manager = attach_pages(pages, config)
         _repair_pages(manager, state.latest_images(), report)
         _redo(manager, state, report)
-        codec = RecordCodec(record_header=config.record_header, capacity_bytes=None)
-        tree, record_of = _rebuild(manager, codec, state.labels, wal_path)
+        tree, record_of = _rebuild(manager, RecordCodec(), state.labels, wal_path)
         store = DocumentStore.adopt(manager, tree, record_of, state.labels, config)
         if checkpoint:
             write_checkpoint(

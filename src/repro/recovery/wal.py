@@ -8,9 +8,16 @@ record carrying the exact blob about to land on a page (the redo
 after-image), and a ``COMMIT`` frame. The log is flushed after every
 frame but **fsynced once, at commit** — group commit: a transaction's
 durability costs a single fsync no matter how many records it touches.
-After the pages are updated a checkpoint atomically truncates the log
-(write temp file, fsync, ``os.replace``), so the log stays bounded by
-the largest single flush instead of growing with history.
+
+Committed transactions stay in the log after their pages are written;
+a flush checkpoints (atomically rewrites the log to one ``CHECKPOINT``
+frame: write temp file, fsync, ``os.replace``, directory fsync) only
+once the log holds :data:`CHECKPOINT_BYTES` of history. The log is
+therefore bounded by ``CHECKPOINT_BYTES`` plus the frames of one flush,
+and most flushes pay one fsync instead of three. Recovery redoes each
+record's newest committed image (see :mod:`repro.recovery.manager`),
+and :func:`~repro.recovery.manager.recover_store` still truncates the
+log when it is done.
 
 On-disk format — append-only frames::
 
@@ -33,6 +40,8 @@ Fault points (``repro.faults``): ``wal.append`` fires after each frame
 is written + flushed — i.e. *at* the record boundary a crash would leave
 behind, which is how the chaos matrix kills a flush at every boundary —
 and ``wal.fsync`` fires just before each group-commit/checkpoint fsync.
+The ``recovery.wal.fsyncs`` counter counts every fsync the log issues:
+commits, checkpoint files, directory entries and torn-tail trims.
 """
 
 from __future__ import annotations
@@ -59,6 +68,9 @@ BEGIN, IMAGE, COMMIT, CHECKPOINT = 1, 2, 3, 4
 #: sanity bound on one frame; a length field beyond this is corruption,
 #: not a real record (the largest legal image is one page's payload)
 MAX_FRAME_BYTES = 1 << 26
+
+#: history a log may hold before a flush checkpoints it (1 MiB)
+CHECKPOINT_BYTES = 1 << 20
 
 
 @dataclass
@@ -227,6 +239,7 @@ def trim_torn_tail(path: str) -> int:
             handle.truncate(state.valid_bytes)
             handle.flush()
             os.fsync(handle.fileno())
+        _count_fsync()
     return state.torn_bytes
 
 
@@ -234,10 +247,16 @@ def _frame_bytes(payload: bytes) -> bytes:
     return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def _count_fsync() -> None:
+    if telemetry.enabled():
+        telemetry.count("recovery.wal.fsyncs")
+
+
 def write_checkpoint(
     path: str, labels: list[str], record_limit: int, next_txn: int
-) -> None:
-    """Atomically replace the log with a single CHECKPOINT frame.
+) -> int:
+    """Atomically replace the log with a single CHECKPOINT frame;
+    returns the new log's size in bytes.
 
     The classic crash-safe rewrite: write a temp file, flush, **fsync**,
     then ``os.replace`` — the log is never observable half-truncated,
@@ -255,10 +274,12 @@ def write_checkpoint(
         if faults.armed():
             faults.check("wal.fsync", path=path, checkpoint=True)
         os.fsync(handle.fileno())
+    _count_fsync()
     os.replace(tmp, path)
     _fsync_directory(os.path.dirname(path) or ".")
     if telemetry.enabled():
         telemetry.count("recovery.wal.checkpoints")
+    return len(frame)
 
 
 def _fsync_directory(directory: str) -> None:
@@ -269,6 +290,7 @@ def _fsync_directory(directory: str) -> None:
         return
     try:
         os.fsync(dir_fd)
+        _count_fsync()
     except OSError:  # pragma: no cover - platform without dir fsync
         pass
     finally:
@@ -290,6 +312,9 @@ class WriteAheadLog:
         self._open_txn: Optional[int] = None
         #: complete frames currently in the file
         self.frames = 0
+        #: bytes currently in the file (what :meth:`checkpoint_if_due`
+        #: weighs against :data:`CHECKPOINT_BYTES`)
+        self.size = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -312,6 +337,7 @@ class WriteAheadLog:
             state = read_wal(self.path)
         self._next_txn = state.next_txn
         self.frames = state.frames
+        self.size = state.valid_bytes
         # io.open, not the builtin: inside a method named `open` the bare
         # name reads as self-recursion (REC001)
         self._handle = io.open(self.path, "ab")
@@ -344,6 +370,7 @@ class WriteAheadLog:
         # group-commit fsync
         self._handle.flush()
         self.frames += 1
+        self.size += len(frame)
         if telemetry.enabled():
             telemetry.count("recovery.wal.appends")
             telemetry.count("recovery.wal.bytes", len(frame))
@@ -354,8 +381,7 @@ class WriteAheadLog:
         if faults.armed():
             faults.check("wal.fsync", path=self.path)
         os.fsync(self._handle.fileno())
-        if telemetry.enabled():
-            telemetry.count("recovery.wal.fsyncs")
+        _count_fsync()
 
     def begin(self, dirty, *, labels, record_limit: int) -> int:
         """Open a transaction; logs the label dictionary so cold
@@ -405,6 +431,18 @@ class WriteAheadLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        write_checkpoint(self.path, list(labels), record_limit, self._next_txn)
+        self.size = write_checkpoint(
+            self.path, list(labels), record_limit, self._next_txn
+        )
         self.frames = 1
         self._handle = io.open(self.path, "ab")
+
+    def checkpoint_if_due(self, labels, record_limit: int) -> bool:
+        """:meth:`checkpoint` once the log holds :data:`CHECKPOINT_BYTES`
+        of history; returns whether it did. Until then committed
+        transactions stay in the log (recovery redoes only each record's
+        newest image, so a longer log replays no more records)."""
+        if self.size < CHECKPOINT_BYTES:
+            return False
+        self.checkpoint(labels, record_limit)
+        return True

@@ -12,7 +12,7 @@ the whole tree from record bytes alone.
 Binary layout (little-endian)::
 
     record header   : node_count u16, fragment_root_count u16
-    per node (19 B) : node_id u32, kind u8, label_id u16,
+    per node (17 B) : node_id u32, kind u8, label_id u16,
                       parent_slot u16 (0xFFFF = fragment root),
                       parent_node_id u32 (0xFFFFFFFF = document root;
                                           only meaningful for roots),
@@ -20,20 +20,25 @@ Binary layout (little-endian)::
                       content_len u16
     then            : content bytes (UTF-8) for each node, in order
 
-The codec is exercised by round-trip tests; disk accounting uses the
-serialized length plus the configured record header.
+:meth:`DocumentStore.encode_record <repro.storage.store.DocumentStore.
+encode_record>` writes this layout straight from the tree (no
+:class:`Record` in between); :class:`RecordCodec` reads it back. Disk
+accounting uses the serialized length plus the configured record header.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.errors import RecordOverflowError, StorageError
+from repro.errors import StorageError
 from repro.tree.node import NodeKind
 
-_NODE_FMT = struct.Struct("<IBHHIHH")
+#: record header: node_count, fragment_root_count
+RECORD_HEADER = struct.Struct("<HH")
+#: one node: node_id, kind, label_id, parent_slot, parent_node_id,
+#: position, content_len
+NODE_FORMAT = struct.Struct("<IBHHIHH")
 NO_PARENT = 0xFFFF
 DOCUMENT_ROOT = 0xFFFFFFFF
 
@@ -73,64 +78,14 @@ class Record:
 
 
 class RecordCodec:
-    """Encodes/decodes records; enforces the byte capacity."""
-
-    def __init__(self, record_header: int = 16, capacity_bytes: Optional[int] = None):
-        self.record_header = record_header
-        self.capacity_bytes = capacity_bytes
-
-    def encoded_size(self, record: Record) -> int:
-        payload = 4 + _NODE_FMT.size * len(record.nodes)
-        payload += sum(len(n.content) for n in record.nodes)
-        return self.record_header + payload
-
-    def encode(self, record: Record) -> bytes:
-        if len(record.nodes) >= NO_PARENT:
-            raise StorageError(f"record {record.record_id} has too many nodes")
-        # one pass: node headers into ``out`` (slot 0 is the record
-        # header, patched in once the roots are counted), contents aside
-        pack = _NODE_FMT.pack
-        out = [b""]
-        contents = []
-        roots = 0
-        for node in record.nodes:
-            content = node.content
-            if len(content) > 0xFFFF:
-                raise StorageError(
-                    f"node {node.node_id} content exceeds 64 KiB record field"
-                )
-            if node.position > 0xFFFF:
-                raise StorageError(
-                    f"node {node.node_id} sibling position exceeds 16 bits"
-                )
-            if node.parent_slot == NO_PARENT:
-                roots += 1
-            out.append(
-                pack(
-                    node.node_id,
-                    node.kind,
-                    node.label_id,
-                    node.parent_slot,
-                    node.parent_node_id,
-                    node.position,
-                    len(content),
-                )
-            )
-            contents.append(content)
-        out[0] = struct.pack("<HH", len(record.nodes), roots)
-        out += contents
-        blob = b"".join(out)
-        if self.capacity_bytes is not None and len(blob) > self.capacity_bytes:
-            raise RecordOverflowError(
-                f"record {record.record_id}: {len(blob)} bytes exceed capacity "
-                f"{self.capacity_bytes}"
-            )
-        return blob
+    """Decodes record blobs. Encoding has one implementation,
+    :meth:`repro.storage.store.DocumentStore.encode_record`, which packs
+    :data:`RECORD_HEADER` and :data:`NODE_FORMAT` straight from the tree."""
 
     def decode(self, record_id: int, blob: bytes) -> Record:
         if len(blob) < 4:
             raise StorageError("record blob too short")
-        count, _roots = struct.unpack_from("<HH", blob, 0)
+        count, _roots = RECORD_HEADER.unpack_from(blob, 0)
         offset = 4
         nodes: list[RecordNode] = []
         lengths: list[int] = []
@@ -143,8 +98,8 @@ class RecordCodec:
                 parent_node_id,
                 position,
                 content_len,
-            ) = _NODE_FMT.unpack_from(blob, offset)
-            offset += _NODE_FMT.size
+            ) = NODE_FORMAT.unpack_from(blob, offset)
+            offset += NODE_FORMAT.size
             nodes.append(
                 RecordNode(
                     node_id,

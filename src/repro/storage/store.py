@@ -1,8 +1,9 @@
 """The document store: partitioned tree + navigation cost accounting.
 
 :meth:`DocumentStore.build` materializes a partitioned document: every
-partition is serialized into a :class:`~repro.storage.record.Record`,
-records are packed onto pages, and a shared label dictionary maps tag
+partition is serialized into one record (:meth:`DocumentStore.
+encode_record`, layout in :mod:`repro.storage.record`), records are
+packed onto pages, and a shared label dictionary maps tag
 names to ids. Queries then navigate :class:`StoredNode` handles; each
 axis step is charged
 
@@ -37,7 +38,14 @@ from repro.partition.interval import Partitioning
 from repro.storage.buffer import BufferPool
 from repro.storage.constants import DEFAULT_CONFIG, StorageConfig
 from repro.storage.manager import RecordManager, SpaceReport
-from repro.storage.record import DOCUMENT_ROOT, NO_PARENT, Record, RecordCodec, RecordNode
+from repro.storage.record import (
+    DOCUMENT_ROOT,
+    NO_PARENT,
+    NODE_FORMAT,
+    RECORD_HEADER,
+    Record,
+    RecordCodec,
+)
 from repro.tree.node import NodeKind, Tree, TreeNode
 
 
@@ -123,11 +131,9 @@ class DocumentStore:
         # node -> record assignment (dense partition indices)
         self.record_of = assignment_from_partitioning(tree, partitioning)
 
-        # build + serialize records, place them on pages
-        self.codec = RecordCodec(
-            record_header=config.record_header,
-            capacity_bytes=None,  # weight feasibility is checked upstream
-        )
+        # build + serialize records, place them on pages (weight
+        # feasibility is checked upstream, not by the encoder)
+        self.codec = RecordCodec()
         self.manager = RecordManager(config)
         with telemetry.span("storage.build"):
             # label ids in first-seen document order; updates intern new
@@ -136,9 +142,7 @@ class DocumentStore:
                 self._label_id(label)
             self._derive_record_state(max(self.record_of) + 1)
             for record_id in range(self.record_count):
-                self.manager.store(
-                    record_id, self.codec.encode(self.rebuild_record(record_id))
-                )
+                self.manager.store(record_id, self.encode_record(record_id))
         self.buffer = BufferPool(self.manager.pages, config.buffer_pages)
         # document-order ranks, recomputed lazily after structural updates
         self._order_ranks: Optional[list[int]] = None
@@ -210,9 +214,7 @@ class DocumentStore:
         store.wal = None
         store.labels = []
         store._label_ids = {}
-        store.codec = RecordCodec(
-            record_header=config.record_header, capacity_bytes=None
-        )
+        store.codec = RecordCodec()
         store.manager = manager
         store.rebind(tree, record_of, labels)
         return store
@@ -391,18 +393,26 @@ class DocumentStore:
         if index is not None:
             index.invalidate()
 
-    def rebuild_record(self, record_id: int) -> Record:
-        """Materialize one record from the current tree + assignment —
-        the one node -> :class:`RecordNode` loop, run per record by the
-        initial build and per dirty record by update flushes. Visits the
-        record's members only."""
+    def encode_record(self, record_id: int) -> bytes:
+        """Serialize one record from the current tree + assignment — the
+        one node -> bytes loop, run per record by the initial build and
+        per dirty record by update flushes. Visits the record's members
+        only and packs each node's header straight from its
+        :class:`TreeNode` (layout: :mod:`repro.storage.record`)."""
+        member_ids = self.members[record_id]
+        if len(member_ids) >= NO_PARENT:
+            raise StorageError(f"record {record_id} has too many nodes")
         nodes = self.tree.nodes
         label_ids = self._label_ids
+        pack = NODE_FORMAT.pack
         slot_of: dict[int, int] = {}
-        out: list[RecordNode] = []
+        # slot 0 is the record header, patched in once the roots are counted
+        out = [b""]
+        contents = []
+        roots = 0
         # ascending ids: an in-record parent is always serialized (and in
         # slot_of) before its children, so a miss means "fragment root"
-        for node_id in self.members[record_id]:
+        for slot, node_id in enumerate(member_ids):
             node = nodes[node_id]
             parent = node.parent
             if parent is None:
@@ -410,23 +420,38 @@ class DocumentStore:
             else:
                 parent_id = parent.node_id
                 parent_slot = slot_of.get(parent_id, NO_PARENT)
+            if parent_slot == NO_PARENT:
+                roots += 1
             label_id = label_ids.get(node.label)
             if label_id is None:
                 label_id = self._label_id(node.label)
             content = node.content
-            slot_of[node_id] = len(out)
+            content = content.encode("utf-8") if content else b""
+            if len(content) > 0xFFFF:
+                raise StorageError(
+                    f"node {node_id} content exceeds 64 KiB record field"
+                )
+            position = node.index
+            if position > 0xFFFF:
+                raise StorageError(
+                    f"node {node_id} sibling position exceeds 16 bits"
+                )
+            slot_of[node_id] = slot
             out.append(
-                RecordNode(
+                pack(
                     node_id,
                     node.kind,
                     label_id,
                     parent_slot,
-                    content.encode("utf-8") if content else b"",
                     parent_id,
-                    node.index,
+                    position,
+                    len(content),
                 )
             )
-        return Record(record_id, out)
+            contents.append(content)
+        out[0] = RECORD_HEADER.pack(len(member_ids), roots)
+        out += contents
+        return b"".join(out)
 
     # -- navigation ------------------------------------------------------
 

@@ -125,13 +125,17 @@ class StoreUpdater:
     def flush(self) -> None:
         """Re-encode all dirty records onto their pages.
 
-        With a write-ahead log attached (``store.attach_wal``), the
-        flush is one crash-recoverable transaction: every dirty blob is
-        logged (BEGIN + after-images + group-commit fsync at COMMIT)
-        *before* any page is touched, each page apply passes the
-        ``updates.flush`` fault point, and a checkpoint truncates the
-        log once the pages hold everything. A crash anywhere inside
-        leaves either the pre-flush or the post-flush page bytes for
+        Each dirty record is serialized once, straight from the tree
+        (:meth:`DocumentStore.encode_record`). With a write-ahead log
+        attached (``store.attach_wal``), the flush is one
+        crash-recoverable transaction: every dirty blob is logged (BEGIN +
+        after-images + group-commit fsync at COMMIT) *before* any page is
+        touched, and each page apply passes the ``updates.flush`` fault
+        point. The transaction then stays in the log; the flush
+        checkpoints (truncates the log) only once it holds
+        :data:`~repro.recovery.wal.CHECKPOINT_BYTES` of history, so a
+        typical flush costs one fsync. A crash anywhere inside leaves
+        either the pre-flush or the post-flush page bytes for
         :mod:`repro.recovery` — never a torn middle.
         """
         if not self._dirty:
@@ -140,14 +144,14 @@ class StoreUpdater:
         wal = store.wal
         dirty = sorted(self._dirty)
         with telemetry.span("storage.updates.flush"):
-            blobs = []
-            nodes_encoded = 0
-            for record_id in dirty:
-                record = store.rebuild_record(record_id)
-                nodes_encoded += len(record.nodes)
-                blobs.append((record_id, store.codec.encode(record)))
+            encode = store.encode_record
+            blobs = [(record_id, encode(record_id)) for record_id in dirty]
             if telemetry.enabled():
-                telemetry.count("storage.updates.nodes_encoded", nodes_encoded)
+                members = store.members
+                telemetry.count(
+                    "storage.updates.nodes_encoded",
+                    sum(len(members[record_id]) for record_id in dirty),
+                )
             if wal is not None:
                 txn_id = wal.begin(
                     dirty, labels=store.labels, record_limit=self.limit
@@ -163,7 +167,7 @@ class StoreUpdater:
                 else:
                     store.manager.store(record_id, blob)
             if wal is not None:
-                wal.checkpoint(store.labels, self.limit)
+                wal.checkpoint_if_due(store.labels, self.limit)
         self._dirty.clear()
 
     # -- placement ----------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.errors import InjectedFaultError, RecoveryError, WalError
 from repro.faults import FaultPlan, FaultRule, active
 from repro.partition import evaluate_partitioning
 from repro.recovery import WriteAheadLog, read_wal, recover, recover_store
+from repro.recovery import wal as wal_mod
 from repro.storage import StorageConfig, StoreUpdater
 from repro.storage.reconstruct import verify_store_integrity
 from tests.recovery.conftest import (
@@ -144,10 +145,11 @@ class TestCrashShapes:
         ]
 
     def test_fsync_io_error_at_group_commit(self, tmp_path):
-        # hit 1 is the attach-time checkpoint fsync; hit 2 is the commit
+        # the plan is armed around flush() only (attach_wal's checkpoint
+        # ran before it), so hit 1 is the commit fsync
         control = _control(tmp_path)
         store, path = _crashed_flush(
-            tmp_path, FaultRule("wal.fsync", "io-error", hit=2)
+            tmp_path, FaultRule("wal.fsync", "io-error", hit=1)
         )
 
         # the COMMIT frame reached the file before the failed fsync, so
@@ -156,6 +158,24 @@ class TestCrashShapes:
         # does not simulate (OS cache loss)
         recovered, _report = recover_store(surviving_pages(store), path, CONFIG)
         assert store_fingerprint(recovered) == control["post"]
+
+    def test_fsync_io_error_at_checkpoint(self, tmp_path, monkeypatch):
+        # a log always "due" makes the flush checkpoint: hit 1 is the
+        # commit fsync, hit 2 the checkpoint file's — after every page
+        # apply, before the rename, so the old log survives intact
+        monkeypatch.setattr(wal_mod, "CHECKPOINT_BYTES", 0)
+        control = _control(tmp_path)
+        assert control["hits"]["wal.fsync"] >= 2
+        store, path = _crashed_flush(
+            tmp_path, FaultRule("wal.fsync", "io-error", hit=2)
+        )
+        assert store_fingerprint(store) == control["post"]
+        assert len(read_wal(path).committed) == 1
+
+        recovered, report = recover_store(surviving_pages(store), path, CONFIG)
+        assert store_fingerprint(recovered) == control["post"]
+        assert report.records_redone == 0
+        _recovered_checks(recovered, control)
 
     def test_torn_commit_frame_discards_the_transaction(self, tmp_path):
         control = _control(tmp_path)

@@ -14,6 +14,7 @@ import zlib
 
 import pytest
 
+from repro import telemetry
 from repro.errors import WalError
 from repro.recovery import (
     WriteAheadLog,
@@ -292,3 +293,44 @@ class TestWriterProtocol:
         assert os.path.getsize(path) == clean_size
         assert wal.frames == 4
         wal.close()
+
+
+class TestCounters:
+    def test_every_fsync_the_log_issues_is_counted(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal_mod.os, "fsync", counting_fsync)
+        path = str(tmp_path / "log.wal")
+        with telemetry.capture() as reg:
+            wal = _committed_log(path)  # commit: file fsync
+            wal.checkpoint(["a", "b"], 32)  # temp file + directory
+            wal.close()
+            with open(path, "ab") as handle:
+                handle.write(b"\x01")
+            trim_torn_tail(path)  # truncate + fsync
+        assert len(calls) == 4
+        assert reg.counters["recovery.wal.fsyncs"].value == len(calls)
+        assert reg.counters["recovery.wal.checkpoints"].value == 1
+
+    def test_size_tracks_the_file_and_triggers_the_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "log.wal")
+        wal = _committed_log(path)
+        assert wal.size == os.path.getsize(path)
+        monkeypatch.setattr(wal_mod, "CHECKPOINT_BYTES", wal.size + 1)
+        assert not wal.checkpoint_if_due(["a", "b"], 32)
+        assert len(read_wal(path).committed) == 1
+        monkeypatch.setattr(wal_mod, "CHECKPOINT_BYTES", wal.size)
+        assert wal.checkpoint_if_due(["a", "b"], 32)
+        assert read_wal(path).committed == []
+        assert wal.size == os.path.getsize(path)
+        wal.close()
+        reopened = WriteAheadLog(path).open()
+        assert reopened.size == os.path.getsize(path)
+        reopened.close()

@@ -1,16 +1,68 @@
 """Reference implementations the storage suite compares production
 code against (the ``tests/partition/oracles.py`` pattern).
 
-:func:`scan_rebuild_record` is ``DocumentStore.rebuild_record`` as it
-was before the store kept per-record member lists: one pass over the
-*whole* tree, filtered by ``record_of``. It trusts nothing but the tree
-and the assignment, which is what makes it the oracle for
-``store.members`` and for every page slot an update flush writes.
+The store serializes a record in one loop,
+``DocumentStore.encode_record``: member ids -> packed bytes. Its oracle
+is the two-step path production code used to take, kept here:
+
+* :func:`scan_rebuild_record` materializes a :class:`Record` of
+  :class:`RecordNode` objects by one pass over the *whole* tree,
+  filtered by ``record_of`` — it trusts nothing but the tree and the
+  assignment, which makes it the oracle for ``store.members`` too;
+* :func:`oracle_encode` packs such a :class:`Record` node by node
+  (formerly ``RecordCodec.encode``), with the optional byte capacity.
 """
 
 from __future__ import annotations
 
-from repro.storage.record import DOCUMENT_ROOT, NO_PARENT, Record, RecordNode
+from typing import Optional
+
+from repro.errors import RecordOverflowError, StorageError
+from repro.storage.record import (
+    DOCUMENT_ROOT,
+    NO_PARENT,
+    NODE_FORMAT,
+    RECORD_HEADER,
+    Record,
+    RecordNode,
+)
+
+
+def oracle_encode(record: Record, capacity_bytes: Optional[int] = None) -> bytes:
+    """Serialize a materialized record (the layout in
+    :mod:`repro.storage.record`), enforcing the format's field limits
+    and an optional byte capacity."""
+    if len(record.nodes) >= NO_PARENT:
+        raise StorageError(f"record {record.record_id} has too many nodes")
+    headers = []
+    for node in record.nodes:
+        if len(node.content) > 0xFFFF:
+            raise StorageError(f"node {node.node_id} content exceeds 64 KiB record field")
+        if node.position > 0xFFFF:
+            raise StorageError(f"node {node.node_id} sibling position exceeds 16 bits")
+        headers.append(
+            NODE_FORMAT.pack(
+                node.node_id,
+                node.kind,
+                node.label_id,
+                node.parent_slot,
+                node.parent_node_id,
+                node.position,
+                len(node.content),
+            )
+        )
+    roots = len(record.fragment_roots())
+    blob = b"".join(
+        [RECORD_HEADER.pack(len(record.nodes), roots)]
+        + headers
+        + [node.content for node in record.nodes]
+    )
+    if capacity_bytes is not None and len(blob) > capacity_bytes:
+        raise RecordOverflowError(
+            f"record {record.record_id}: {len(blob)} bytes exceed capacity "
+            f"{capacity_bytes}"
+        )
+    return blob
 
 
 def scan_rebuild_record(store, record_id: int) -> Record:
@@ -62,9 +114,14 @@ def assert_members_match_scan(store) -> None:
 
 
 def assert_pages_match_scan(store) -> None:
-    """Every page slot holds the bytes the whole-document scan encodes."""
+    """Every page slot holds the bytes the whole-document scan encodes,
+    and the store's one encoder produces exactly those bytes."""
     for record_id in range(store.record_count):
         page = store.manager.pages[store.manager.page_of_record[record_id]]
-        assert page.get(record_id) == store.codec.encode(
-            scan_rebuild_record(store, record_id)
-        ), f"record {record_id} on its page differs from the scan oracle"
+        expected = oracle_encode(scan_rebuild_record(store, record_id))
+        assert page.get(record_id) == expected, (
+            f"record {record_id} on its page differs from the scan oracle"
+        )
+        assert store.encode_record(record_id) == expected, (
+            f"encode_record({record_id}) differs from the scan oracle"
+        )

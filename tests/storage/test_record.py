@@ -1,10 +1,22 @@
-"""Record codec: binary round-trips and capacity enforcement."""
+"""Record format: binary round-trips, field limits, and the store's one
+encoder against the oracle codec (``tests/storage/oracles.py``)."""
 
 import pytest
 
 from repro.errors import RecordOverflowError, StorageError
-from repro.storage.record import NO_PARENT, Record, RecordCodec, RecordNode
-from repro.tree.node import NodeKind
+from repro.partition.interval import Partitioning
+from repro.storage import DocumentStore, StorageConfig
+from repro.storage.record import (
+    NO_PARENT,
+    NODE_FORMAT,
+    RECORD_HEADER,
+    Record,
+    RecordCodec,
+    RecordNode,
+)
+from repro.tree.node import NodeKind, Tree
+from repro.xmlio import parse_tree
+from tests.storage.oracles import oracle_encode, scan_rebuild_record
 
 
 def sample_record() -> Record:
@@ -21,10 +33,9 @@ def sample_record() -> Record:
 
 class TestCodec:
     def test_round_trip(self):
-        codec = RecordCodec()
         record = sample_record()
-        blob = codec.encode(record)
-        decoded = codec.decode(7, blob)
+        blob = oracle_encode(record)
+        decoded = RecordCodec().decode(7, blob)
         assert decoded.record_id == 7
         assert decoded.node_count == 4
         for orig, back in zip(record.nodes, decoded.nodes):
@@ -38,31 +49,76 @@ class TestCodec:
         assert record.node_ids() == [10, 11, 12, 13]
 
     def test_encoded_size_matches(self):
-        codec = RecordCodec(record_header=16)
         record = sample_record()
-        blob = codec.encode(record)
-        assert codec.encoded_size(record) == 16 + len(blob)
+        contents = sum(len(n.content) for n in record.nodes)
+        assert len(oracle_encode(record)) == (
+            RECORD_HEADER.size + NODE_FORMAT.size * len(record.nodes) + contents
+        )
+        assert NODE_FORMAT.size == 17
 
     def test_capacity_enforced(self):
-        codec = RecordCodec(capacity_bytes=16)
         with pytest.raises(RecordOverflowError):
-            codec.encode(sample_record())
+            oracle_encode(sample_record(), capacity_bytes=16)
 
     def test_decode_rejects_garbage(self):
         codec = RecordCodec()
         with pytest.raises(StorageError):
             codec.decode(0, b"\x01")
-        blob = codec.encode(sample_record())
+        blob = oracle_encode(sample_record())
         with pytest.raises(StorageError):
             codec.decode(0, blob + b"junk")
 
     def test_content_too_long_rejected(self):
-        codec = RecordCodec()
         record = Record(0, [RecordNode(0, NodeKind.TEXT, 0, NO_PARENT, b"x" * 70_000)])
         with pytest.raises(StorageError):
-            codec.encode(record)
+            oracle_encode(record)
 
     def test_empty_record(self):
-        codec = RecordCodec()
-        blob = codec.encode(Record(1))
-        assert codec.decode(1, blob).node_count == 0
+        blob = oracle_encode(Record(1))
+        assert RecordCodec().decode(1, blob).node_count == 0
+
+
+def _flat_store(children: int, intervals) -> DocumentStore:
+    """A root with ``children`` empty elements, stored under
+    ``intervals`` (weights are not checked by the encoder)."""
+    tree = Tree("r")
+    root = tree.root
+    for _ in range(children):
+        tree.add_child(root, "c", 1)
+    return DocumentStore.build(
+        tree,
+        Partitioning(intervals),
+        StorageConfig(page_size=1 << 21, record_limit=1 << 20),
+    )
+
+
+class TestEncodeRecord:
+    """``DocumentStore.encode_record`` is the only production encoder;
+    it must equal the oracle byte for byte and keep its field checks."""
+
+    def test_matches_oracle_and_round_trips(self):
+        tree = parse_tree('<a x="v1"><b>héllo</b><c/><d>t<e/>u</d></a>')
+        store = DocumentStore.build(
+            tree, Partitioning([(0, 0), (6, 6)]), StorageConfig(record_limit=64)
+        )
+        for record_id in range(store.record_count):
+            blob = store.encode_record(record_id)
+            assert blob == oracle_encode(scan_rebuild_record(store, record_id))
+            decoded = RecordCodec().decode(record_id, blob)
+            assert decoded.node_ids() == store.members[record_id]
+
+    def test_content_too_long_rejected(self):
+        tree = parse_tree("<a>" + "x" * 70_000 + "</a>")
+        with pytest.raises(StorageError, match="64 KiB"):
+            DocumentStore.build(tree, Partitioning([(0, 0)]), StorageConfig())
+
+    def test_too_many_nodes_rejected(self):
+        with pytest.raises(StorageError, match="too many nodes"):
+            _flat_store(NO_PARENT, [(0, 0)])
+
+    def test_position_beyond_16_bits_rejected(self):
+        # three records of < 0xFFFF nodes each; the last child sits at
+        # sibling position 0x10000
+        last = 0x10001
+        with pytest.raises(StorageError, match="16 bits"):
+            _flat_store(last, [(0, 0), (1, 0x8000), (0x8001, last)])

@@ -2,11 +2,19 @@
 
 import pytest
 
+from repro.datasets import (
+    PAPER_DOCUMENTS,
+    duplicated_subtree_tree,
+    generate_document,
+    random_flat_tree,
+    random_tree,
+)
 from repro.partition import get_algorithm
 from repro.partition.interval import Partitioning
 from repro.storage import DocumentStore, StorageConfig
 from repro.tree.builders import tree_from_spec
 from repro.xmlio import parse_tree
+from tests.storage.oracles import assert_pages_match_scan
 
 DOC = "<a><b>hello world</b><c><d/><e/></c><f/></a>"
 
@@ -124,3 +132,28 @@ class TestCostModelComparative:
                 pass
             costs[name] = store.simulated_cost()
         assert costs["ekm"] < costs["km"]
+
+
+GENERATED = {
+    **{
+        spec.name: lambda name=spec.name: generate_document(name, 0.02)
+        for spec in PAPER_DOCUMENTS
+    },
+    "random_tree": lambda: random_tree(600, seed=3),
+    "random_flat_tree": lambda: random_flat_tree(400, seed=3),
+    "duplicated_subtree_tree": lambda: duplicated_subtree_tree(12, seed=3),
+}
+
+
+class TestOneEncoder:
+    @pytest.mark.parametrize("algorithm", ["ekm", "km"])
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_build_writes_the_oracle_bytes(self, name, algorithm):
+        """Every page slot ``build`` writes, on every dataset generator,
+        is what the whole-tree scan + oracle codec encode, and
+        ``encode_record`` reproduces it."""
+        tree = GENERATED[name]()
+        partitioning = get_algorithm(algorithm).partition(tree, 64)
+        store = DocumentStore.build(tree, partitioning, StorageConfig(record_limit=64))
+        assert store.record_count > 1
+        assert_pages_match_scan(store)

@@ -20,6 +20,23 @@ from tests.storage.oracles import (
 LIMIT = 16
 
 
+@pytest.fixture(autouse=True)
+def flushes_match_the_oracle(request, monkeypatch):
+    """After every flush of this module's scripts, every page slot and
+    ``encode_record`` equal the whole-tree scan + oracle codec. The
+    scaling guard is exempt: it counts tree walks, and the oracle is
+    one."""
+    if request.cls is TestUpdateCostScaling:
+        return
+    flush = StoreUpdater.flush
+
+    def checked_flush(updater):
+        flush(updater)
+        assert_pages_match_scan(updater.store)
+
+    monkeypatch.setattr(StoreUpdater, "flush", checked_flush)
+
+
 def small_store():
     tree = parse_tree("<a><b>xx</b><c/><d/></a>")
     config = StorageConfig(record_limit=LIMIT)
