@@ -2,8 +2,7 @@
 #
 #   make verify       # everything below, in order
 #   make lint         # ruff + mypy when installed (skipped with a notice otherwise)
-#   make analyze      # repro-lint, once: all passes against the baseline + analysis.sarif
-#   make test         # tier-1 pytest suite
+#   make test         # tier-1 pytest suite; its test_lint_clean.py is the repro-lint gate
 #   make bench        # the BENCHMARK.json benchmark at --smoke size + its self-check
 #   make faults-smoke # small fault-injection matrix (crash/bitflip/torn)
 #   make chaos-smoke  # WAL crash-matrix slice: kill update flushes, recover, diff
@@ -17,9 +16,9 @@ export PYTHONPATH := src
 
 PYTHON ?= python
 
-.PHONY: verify lint analyze test bench faults-smoke chaos-smoke service-smoke
+.PHONY: verify lint test bench faults-smoke chaos-smoke service-smoke
 
-verify: lint analyze test bench faults-smoke chaos-smoke service-smoke
+verify: lint test bench faults-smoke chaos-smoke service-smoke
 	@echo "verify: OK"
 
 lint:
@@ -34,16 +33,9 @@ lint:
 		echo "lint: mypy not installed, skipping"; \
 	fi
 
-# The one repro-lint gate: every rule family (including the
-# dataflow-driven CC/LIN passes) against the committed baseline,
-# emitting a SARIF report for code-scanning upload. Fails on any new
-# finding OR any stale baseline entry (run `repro-lint --baseline
-# analysis-baseline.json --update-baseline src/repro` after fixing
-# findings).
-analyze:
-	$(PYTHON) -m repro.analysis.cli --baseline analysis-baseline.json \
-		--format sarif --output analysis.sarif src/repro
-
+# Tier-1, which includes the one repro-lint gate
+# (tests/analysis/test_lint_clean.py: every pass over src/repro, zero
+# findings) and the linear-work counters (tests/test_linear_work.py).
 test:
 	$(PYTHON) -m pytest -x -q
 

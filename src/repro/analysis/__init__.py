@@ -10,26 +10,18 @@ This package is the correctness net around the partitioning system:
   pass framework and the repo-specific rules behind ``repro-lint``.
 * :mod:`repro.analysis.dataflow` — module-level def-use/escape analysis
   (shared state, lock regions) over the call graph.
-* :mod:`repro.analysis.concurrency` / :mod:`repro.analysis.linearity` —
-  the CC (guarded writes, atomic updates) and LIN
-  (accidental O(n²) in kernels) rule families built on it.
-* :mod:`repro.analysis.baseline` / :mod:`repro.analysis.sarif` — the
-  committed-baseline suppression workflow and SARIF 2.1.0 export.
+* :mod:`repro.analysis.concurrency` — the CC rule family (guarded
+  writes, atomic updates), the one built on the dataflow tables.
 * :mod:`repro.analysis.contracts` — runtime verification that every
   algorithm's output is a feasible sibling partitioning and that the
   input tree survives untouched (``REPRO_CHECK_INVARIANTS=1``).
 * :mod:`repro.analysis.cli` — the ``repro-lint`` entry point.
 
-See ``docs/ANALYSIS.md`` for the pass catalogue and extension guide.
+Linear time is not a lint rule: ``tests/test_linear_work.py`` measures
+every pipeline stage's work at two input sizes. See ``docs/ANALYSIS.md``
+for the pass catalogue and extension guide.
 """
 
-from repro.analysis.baseline import (
-    BaselineEntry,
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.callgraph import (
     CallEdge,
     CallGraph,
@@ -61,19 +53,12 @@ from repro.analysis.passes import (
     run_lint,
 )
 from repro.analysis.recursion import RecursionCycle, find_recursion_cycles
-from repro.analysis.sarif import to_sarif
 
 __all__ = [
-    "BaselineEntry",
-    "BaselineResult",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
     "DataflowInfo",
     "StateAccess",
     "StateVar",
     "build_dataflow",
-    "to_sarif",
     "CallEdge",
     "CallGraph",
     "FunctionInfo",

@@ -4,19 +4,15 @@
 
     repro-lint src/repro                  # all passes, text output
     repro-lint --select REC001 src/repro  # recursion cycles only
-    repro-lint --select CC,LIN src/repro  # whole rule families by prefix
+    repro-lint --select CC,RB src/repro   # whole rule families by prefix
     repro-lint --ignore BAN003 path/      # everything but float-weights
     repro-lint --list-passes              # what runs, with descriptions
     repro-lint --format json src/repro    # machine-readable findings
-    repro-lint --format sarif --output report.sarif src/repro
-    repro-lint --baseline analysis-baseline.json src/repro   # gated run
-    repro-lint --baseline analysis-baseline.json \\
-               --update-baseline src/repro                   # regenerate
 
-Exit status: 0 clean, 1 violations found (or stale baseline entries),
-2 usage or analysis error. The test suite gates on ``repro-lint
-src/repro`` exiting 0 against the committed baseline, so every change
-runs under the analyzer.
+Exit status: 0 clean, 1 violations found, 2 usage or analysis error.
+The test suite gates on ``repro-lint src/repro`` exiting 0, so every
+change runs under the analyzer; there is no baseline of accepted
+findings.
 """
 
 from __future__ import annotations
@@ -24,23 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import (
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.passes import (
     Violation,
     available_passes,
     code_matches,
     run_lint,
-    select_passes,
 )
-from repro.analysis.sarif import to_sarif
 from repro.errors import ReproError
 
 EXIT_CLEAN = 0
@@ -55,25 +42,13 @@ def _split_codes(raw: Optional[str]) -> Optional[list[str]]:
 
 
 def _render_report(
-    fmt: str,
-    violations: list[Violation],
-    files_checked: int,
-    passes_run: int,
-    suppressed: int,
-    stale: list[BaselineEntry],
-    select: Optional[list[str]],
-    ignore: Optional[list[str]],
+    fmt: str, violations: list[Violation], files_checked: int, passes_run: int
 ) -> str:
     if fmt == "json":
         return json.dumps(
             {
                 "files_checked": files_checked,
                 "passes_run": passes_run,
-                "suppressed": suppressed,
-                "stale_baseline_entries": [
-                    {"path": e.path, "code": e.code, "message": e.message}
-                    for e in stale
-                ],
                 "violations": [
                     {
                         "path": v.path,
@@ -86,15 +61,11 @@ def _render_report(
             },
             indent=2,
         )
-    if fmt == "sarif":
-        return json.dumps(to_sarif(violations, select_passes(select, ignore)), indent=2)
     lines = [v.render() for v in violations]
     if violations:
         lines.append(f"{len(violations)} violation(s) in {files_checked} file(s)")
     else:
         lines.append(f"clean: {files_checked} file(s), {passes_run} pass(es)")
-    if suppressed:
-        lines.append(f"{suppressed} finding(s) suppressed by baseline")
     return "\n".join(lines)
 
 
@@ -103,15 +74,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-lint",
         description=(
             "Static invariant analyzer for the repro codebase: recursion "
-            "cycles, banned patterns, partitioner contract rules, "
-            "concurrency-safety (CC) and linearity (LIN) dataflow rules."
+            "cycles, float slot weights, observability, robustness and "
+            "hot-loop rules, and concurrency-safety (CC) dataflow rules."
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to analyze")
     parser.add_argument(
         "--select",
         metavar="CODES",
-        help="comma-separated pass codes or family prefixes (CC, LIN) to run",
+        help="comma-separated pass codes or family prefixes (CC, RB) to run",
     )
     parser.add_argument(
         "--ignore",
@@ -120,24 +91,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="PATH",
-        help="write the report to PATH instead of stdout (summary still prints)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="regenerate the --baseline file from the current findings and exit",
     )
     parser.add_argument(
         "--list-passes", action="store_true", help="list registered passes and exit"
@@ -153,13 +109,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.paths:
         parser.print_usage(sys.stderr)
         print("repro-lint: error: no paths given", file=sys.stderr)
-        return EXIT_ERROR
-
-    if args.update_baseline and not args.baseline:
-        print(
-            "repro-lint: error: --update-baseline requires --baseline PATH",
-            file=sys.stderr,
-        )
         return EXIT_ERROR
 
     # A typo'd code must not turn the lint gate into a vacuous pass.
@@ -185,58 +134,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if args.update_baseline:
-        entries = write_baseline(args.baseline, result.violations)
-        print(
-            f"repro-lint: baseline {args.baseline} updated: "
-            f"{entries} entry(ies) covering {len(result.violations)} finding(s)"
+    print(
+        _render_report(
+            args.format, result.violations, result.files_checked, result.passes_run
         )
-        return EXIT_CLEAN
-
-    violations = result.violations
-    suppressed = 0
-    stale: list[BaselineEntry] = []
-    if args.baseline:
-        try:
-            baseline_entries = load_baseline(args.baseline)
-        except ReproError as exc:
-            print(f"repro-lint: error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        applied = apply_baseline(violations, baseline_entries)
-        violations = applied.remaining
-        suppressed = applied.suppressed
-        stale = applied.stale
-
-    report = _render_report(
-        args.format,
-        violations,
-        result.files_checked,
-        result.passes_run,
-        suppressed,
-        stale,
-        select,
-        ignore,
     )
-    if args.output:
-        Path(args.output).write_text(report + "\n")
-        print(f"repro-lint: report written to {args.output}")
-        if args.format == "text" and violations:
-            print(f"{len(violations)} violation(s) in {result.files_checked} file(s)")
-    else:
-        print(report)
-
-    for entry in stale:
-        print(
-            f"repro-lint: stale baseline entry (finding no longer fires): "
-            f"{entry.render()}",
-            file=sys.stderr,
-        )
-    if stale:
-        print(
-            f"repro-lint: run --update-baseline to refresh {args.baseline}",
-            file=sys.stderr,
-        )
-    return EXIT_VIOLATIONS if violations or stale else EXIT_CLEAN
+    return EXIT_VIOLATIONS if result.violations else EXIT_CLEAN
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -39,7 +39,7 @@ class Violation:
 @dataclass
 class LintContext:
     """Everything a pass may look at. The call graph is built lazily so
-    purely syntactic runs (e.g. ``--select BAN001``) stay fast."""
+    purely syntactic runs (e.g. ``--select RB001``) stay fast."""
 
     files: list[SourceFile] = field(default_factory=list)
 
@@ -94,7 +94,6 @@ def register_lint_pass(cls: type[LintPass]) -> type[LintPass]:
 def available_passes() -> list[type[LintPass]]:
     """All registered passes (rule modules are imported on first use)."""
     import repro.analysis.concurrency  # noqa: F401  - registration side effect
-    import repro.analysis.linearity  # noqa: F401  - registration side effect
     import repro.analysis.rules  # noqa: F401  - registration side effect
 
     return list(LINT_PASSES)
@@ -117,7 +116,7 @@ def code_matches(code: str, patterns: Iterable[str]) -> bool:
     """Does a pass code match any selector?
 
     A selector is either a full code (``CC003``) or a rule *family*
-    prefix (``CC``, ``LIN``) — an all-letter selector matches every code
+    prefix (``CC``, ``OBS``) — an all-letter selector matches every code
     it prefixes.
     """
     return any(

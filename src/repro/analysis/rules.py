@@ -5,26 +5,24 @@ Codes are stable (used in ``# repro-lint: skip=CODE`` pragmas and
 
 ======  ================================================================
 REC001  unbounded recursion cycle reachable on document-driven paths
-BAN001  bare ``except:`` swallows ``KeyboardInterrupt``/``SystemExit``
-BAN002  ``sys.setrecursionlimit`` outside ``repro.analysis``
 BAN003  float arithmetic on slot weights/limits in partitioner modules
-PRT001  partitioner mutates the input tree
-PRT002  partitioner overrides ``partition`` instead of ``_partition``
 OBS001  manual wall-clock timing outside ``repro.telemetry``
 OBS002  span opened with a computed name or an empty attrs dict literal
 OBS003  live telemetry span opened inside an ``async def`` body
-RB001   broad exception handler that silently swallows outside test code
+RB001   bare ``except:``, or a broad handler that silently swallows
 RB002   blocking engine entry point called directly from an async body
 RB003   rename/close on a durability-critical path without a prior fsync
-PERF001 loop-invariant O(n) subtree-weight walk recomputed per iteration
 PERF002 Python observer callback invoked per element on a hot loop path
 ======  ================================================================
 
-The partitioner passes identify "partitioner modules" syntactically — a
-module defining a class whose base list names ``Partitioner`` (resolved
-to :class:`repro.partition.base.Partitioner` when the base module is part
-of the analyzed set, matched by name otherwise, so fixture snippets lint
-the same way the real tree does).
+BAN003 identifies "partitioner modules" syntactically — a module defining
+a class whose base list names ``Partitioner`` (resolved to
+:class:`repro.partition.base.Partitioner` when the base module is part of
+the analyzed set, matched by name otherwise, so fixture snippets lint the
+same way the real tree does). What a partitioner may do to its input tree
+and which method it overrides are checked at run time instead: the
+contract's immutability fingerprint (:mod:`repro.analysis.contracts`) and
+a registry test over every ``Partitioner`` subclass.
 """
 
 from __future__ import annotations
@@ -36,16 +34,6 @@ from repro.analysis.callgraph import ClassInfo, SourceFile, _dotted_name
 from repro.analysis.passes import LintContext, LintPass, Violation, register_lint_pass
 from repro.analysis.recursion import find_recursion_cycles
 
-#: TreeNode structural attributes a partitioner must never assign
-_TREE_MUTATION_ATTRS = frozenset(
-    {"weight", "parent", "children", "index", "label", "kind", "content", "nodes"}
-)
-#: list-mutating methods (flagged when called on ``.children`` / ``.nodes``)
-_LIST_MUTATORS = frozenset(
-    {"append", "insert", "extend", "pop", "remove", "clear", "sort", "reverse"}
-)
-#: Tree methods that mutate structure
-_TREE_MUTATION_CALLS = frozenset({"add_child", "insert_child"})
 #: identifier fragments that mark slot-weight arithmetic
 _WEIGHT_NAME_FRAGMENTS = ("weight", "limit", "slot", "capac")
 #: ``time``-module clock functions whose use constitutes manual timing
@@ -64,17 +52,6 @@ _TIMING_FUNCS = frozenset(
 
 #: catch-all exception names whose silent handlers RB001 flags
 _BROAD_EXCEPTION_NAMES = frozenset({"Exception", "BaseException"})
-
-#: uncached O(n) weight walks PERF001 flags when loop-invariant
-_WEIGHT_WALK_FUNCS = frozenset(
-    {
-        "subtree_weights",
-        "binary_subtree_weights",
-        "partition_node_weights",
-        "partition_weights",
-        "root_weight",
-    }
-)
 
 PARTITIONER_BASE = "repro.partition.base.Partitioner"
 
@@ -138,56 +115,6 @@ class RecursionCyclePass(LintPass):
 
 
 @register_lint_pass
-class BareExceptPass(LintPass):
-    """``except:`` catches ``SystemExit``/``KeyboardInterrupt`` too."""
-
-    code = "BAN001"
-    name = "bare-except"
-    description = "bare `except:` clause; catch `ReproError` or `Exception`"
-
-    def run(self, ctx: LintContext) -> Iterator[Violation]:
-        for source in ctx.files:
-            for node in ast.walk(source.tree):
-                if isinstance(node, ast.ExceptHandler) and node.type is None:
-                    yield Violation(
-                        path=str(source.path),
-                        lineno=node.lineno,
-                        code=self.code,
-                        message="bare `except:` swallows interrupts; name the exception",
-                    )
-
-
-@register_lint_pass
-class RecursionLimitPass(LintPass):
-    """Raising the interpreter recursion limit hides unbounded recursion
-    instead of fixing it — the analyzer package itself is the only place
-    allowed to reason about the limit."""
-
-    code = "BAN002"
-    name = "recursion-limit"
-    description = "`sys.setrecursionlimit` outside repro.analysis"
-
-    def run(self, ctx: LintContext) -> Iterator[Violation]:
-        for source in ctx.files:
-            if source.module.startswith("repro.analysis"):
-                continue
-            for node in ast.walk(source.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                dotted = _dotted_name(node.func)
-                if dotted is not None and dotted.endswith("setrecursionlimit"):
-                    yield Violation(
-                        path=str(source.path),
-                        lineno=node.lineno,
-                        code=self.code,
-                        message=(
-                            "sys.setrecursionlimit masks unbounded recursion; "
-                            "use explicit-stack iteration instead"
-                        ),
-                    )
-
-
-@register_lint_pass
 class FloatWeightPass(LintPass):
     """Slot weights are positive integers (paper Sec. 6.1); float
     arithmetic silently breaks feasibility comparisons at page-capacity
@@ -236,104 +163,6 @@ class FloatWeightPass(LintPass):
                             code=self.code,
                             message="float literal in slot-weight arithmetic",
                         )
-
-
-@register_lint_pass
-class PartitionerMutatesTreePass(LintPass):
-    """Partitioners receive the document tree by reference and must treat
-    it as read-only: every algorithm (and the contract checker) assumes
-    the tree observed after ``partition()`` is the tree that was passed
-    in. This pass flags tree/node mutation syntax anywhere in a module
-    that defines a partitioner."""
-
-    code = "PRT001"
-    name = "partitioner-mutates-tree"
-    description = (
-        "tree mutation (`add_child`/`insert_child`, node attribute "
-        "assignment, `.children`/`.nodes` list mutation) in a partitioner module"
-    )
-
-    def run(self, ctx: LintContext) -> Iterator[Violation]:
-        for source in ctx.files:
-            if not _partitioner_classes(ctx, source):
-                continue
-            yield from self._scan(source)
-
-    def _scan(self, source: SourceFile) -> Iterator[Violation]:
-        path = str(source.path)
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                func = node.func
-                if func.attr in _TREE_MUTATION_CALLS:
-                    yield Violation(
-                        path=path,
-                        lineno=node.lineno,
-                        code=self.code,
-                        message=f"partitioner calls tree-mutating `{func.attr}()`",
-                    )
-                elif (
-                    func.attr in _LIST_MUTATORS
-                    and isinstance(func.value, ast.Attribute)
-                    and func.value.attr in ("children", "nodes")
-                ):
-                    yield Violation(
-                        path=path,
-                        lineno=node.lineno,
-                        code=self.code,
-                        message=(
-                            f"partitioner mutates `.{func.value.attr}` via "
-                            f"`.{func.attr}()`"
-                        ),
-                    )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and target.attr in _TREE_MUTATION_ATTRS
-                        and not (
-                            isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        )
-                    ):
-                        yield Violation(
-                            path=path,
-                            lineno=node.lineno,
-                            code=self.code,
-                            message=(
-                                f"partitioner assigns node attribute `.{target.attr}`"
-                            ),
-                        )
-
-
-@register_lint_pass
-class PartitionerOverridesPartitionPass(LintPass):
-    """The public ``partition()`` wrapper owns the shared infeasibility
-    pre-check and the runtime contract instrumentation; algorithms hook
-    in through ``_partition()`` only."""
-
-    code = "PRT002"
-    name = "partitioner-overrides-partition"
-    description = (
-        "Partitioner subclass overrides `partition` (bypasses feasibility "
-        "pre-check and invariant contracts); implement `_partition` instead"
-    )
-
-    def run(self, ctx: LintContext) -> Iterator[Violation]:
-        for cls in ctx.callgraph.classes.values():
-            if not _is_partitioner_class(cls) or "partition" not in cls.methods:
-                continue
-            method = ctx.callgraph.functions[cls.methods["partition"]]
-            yield Violation(
-                path=str(method.path),
-                lineno=method.lineno,
-                code=self.code,
-                message=(
-                    f"`{cls.name}` overrides `partition`; the base wrapper is the "
-                    "single entry point for feasibility checks and contracts — "
-                    "implement `_partition`"
-                ),
-            )
 
 
 @register_lint_pass
@@ -610,46 +439,51 @@ class ExceptionSwallowPass(LintPass):
     a truncated journal into silent garbage downstream. Library code must
     handle, narrow, or re-raise; only test code (``test_*.py`` /
     ``conftest.py``, matched by filename so fixture snippets still lint)
-    may swallow broadly, e.g. when asserting that cleanup survives."""
+    may swallow broadly, e.g. when asserting that cleanup survives. A
+    bare ``except:`` is flagged everywhere, whatever its body: it also
+    catches ``KeyboardInterrupt`` and ``SystemExit``."""
 
     code = "RB001"
     name = "exception-swallow"
     description = (
-        "bare `except:` or `except Exception/BaseException:` whose body "
-        "only `pass`es, outside test code; handle the failure, narrow the "
-        "type, or re-raise"
+        "bare `except:` anywhere, or `except Exception/BaseException:` "
+        "whose body only `pass`es outside test code; name the exception, "
+        "handle the failure, or re-raise"
     )
 
     def run(self, ctx: LintContext) -> Iterator[Violation]:
         for source in ctx.files:
             filename = source.path.name
-            if filename.startswith("test_") or filename == "conftest.py":
-                continue
+            test_code = filename.startswith("test_") or filename == "conftest.py"
             for node in ast.walk(source.tree):
-                if (
-                    isinstance(node, ast.ExceptHandler)
+                if not isinstance(node, ast.ExceptHandler):
+                    continue
+                if node.type is None:
+                    message = (
+                        "bare `except:` also catches KeyboardInterrupt and "
+                        "SystemExit; name the exception"
+                    )
+                elif (
+                    not test_code
                     and self._is_broad(node.type)
                     and self._swallows(node.body)
                 ):
-                    caught = (
-                        "except:"
-                        if node.type is None
-                        else f"except {self._describe(node.type)}"
+                    message = (
+                        f"`except {self._describe(node.type)}` with a pass-only "
+                        "body silently swallows failures; handle, narrow, or "
+                        "re-raise"
                     )
-                    yield Violation(
-                        path=str(source.path),
-                        lineno=node.lineno,
-                        code=self.code,
-                        message=(
-                            f"`{caught}` with a pass-only body silently "
-                            "swallows failures; handle, narrow, or re-raise"
-                        ),
-                    )
+                else:
+                    continue
+                yield Violation(
+                    path=str(source.path),
+                    lineno=node.lineno,
+                    code=self.code,
+                    message=message,
+                )
 
     @staticmethod
-    def _is_broad(handler_type: Optional[ast.expr]) -> bool:
-        if handler_type is None:
-            return True  # bare `except:`
+    def _is_broad(handler_type: ast.expr) -> bool:
         candidates: list[ast.expr] = (
             list(handler_type.elts)
             if isinstance(handler_type, ast.Tuple)
@@ -1000,89 +834,6 @@ class DurabilityFsyncPass(LintPass):
                 if canonical in _RENAME_CALLS:
                     bindings[alias.asname or alias.name] = canonical
         return bindings
-
-
-@register_lint_pass
-class RepeatedWeightWalkPass(LintPass):
-    """Weight walks (``subtree_weights``, ``partition_weights``, ...) are
-    O(n) over the whole tree; calling one inside a loop whose iterations
-    don't change its inputs repeats the identical walk once per
-    iteration — the quadratic blowup the PR-5 fast path removed from
-    ``evaluate_partitioning``. The pass flags a walk call inside a
-    ``for``/``while`` body only when the call is *loop-invariant*: none
-    of its arguments (or its method receiver) mention a name the loop
-    rebinds, so hoisting it above the loop is always safe."""
-
-    code = "PERF001"
-    name = "repeated-weight-walk"
-    description = (
-        "loop-invariant O(n) weight walk inside a loop body; hoist the "
-        "call above the loop (or use the cached per-node arrays)"
-    )
-
-    def run(self, ctx: LintContext) -> Iterator[Violation]:
-        for source in ctx.files:
-            seen: set[tuple[int, int]] = set()
-            for loop in ast.walk(source.tree):
-                if not isinstance(loop, (ast.For, ast.While, ast.AsyncFor)):
-                    continue
-                varying = self._loop_varying_names(loop)
-                for node in ast.walk(loop):
-                    if node is loop or not isinstance(node, ast.Call):
-                        continue
-                    walk_name = self._weight_walk_name(node.func)
-                    if walk_name is None:
-                        continue
-                    if (node.lineno, node.col_offset) in seen:
-                        continue  # already reported for an outer loop
-                    if self._call_inputs(node) & varying:
-                        continue  # genuinely per-iteration work
-                    seen.add((node.lineno, node.col_offset))
-                    yield Violation(
-                        path=str(source.path),
-                        lineno=node.lineno,
-                        code=self.code,
-                        message=(
-                            f"`{walk_name}()` walks the whole tree and is "
-                            "loop-invariant here; hoist it above the loop"
-                        ),
-                    )
-
-    @staticmethod
-    def _weight_walk_name(func: ast.expr) -> Optional[str]:
-        if isinstance(func, ast.Name) and func.id in _WEIGHT_WALK_FUNCS:
-            return func.id
-        if isinstance(func, ast.Attribute) and func.attr in _WEIGHT_WALK_FUNCS:
-            return func.attr
-        return None
-
-    @staticmethod
-    def _loop_varying_names(loop: ast.AST) -> set[str]:
-        """Names the loop rebinds: ``for`` targets plus every name stored
-        anywhere in the body (assignments, aug-assignments, ``with``/
-        ``for`` targets of nested statements)."""
-        varying: set[str] = set()
-        for node in ast.walk(loop):
-            if isinstance(node, ast.Name) and isinstance(
-                node.ctx, (ast.Store, ast.Del)
-            ):
-                varying.add(node.id)
-        return varying
-
-    @staticmethod
-    def _call_inputs(call: ast.Call) -> set[str]:
-        """Every name the call's result can depend on: names in the
-        positional/keyword arguments and, for method calls, the receiver
-        expression (``node`` in ``node.partition_weights()``)."""
-        names: set[str] = set()
-        roots: list[ast.expr] = list(call.args) + [kw.value for kw in call.keywords]
-        if isinstance(call.func, ast.Attribute):
-            roots.append(call.func.value)
-        for root in roots:
-            for node in ast.walk(root):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-        return names
 
 
 @register_lint_pass

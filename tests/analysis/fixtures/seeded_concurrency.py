@@ -101,14 +101,3 @@ def scratch_sum(items):
     for item in items:
         scratch.inc()
     return scratch.n
-
-
-# -- LIN scope guard: this module is NOT a kernel module ---------------------
-
-
-def quadratic_sweep_outside_kernel(nodes):
-    pairs = 0
-    for _u in nodes:
-        for _v in nodes:  # outside kernel scope: LIN001 stays quiet
-            pairs += 1
-    return pairs

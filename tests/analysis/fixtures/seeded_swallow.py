@@ -1,17 +1,25 @@
-"""Seeded RB001 violations: broad exception handlers that swallow.
+"""Seeded RB001 violations: bare ``except:`` clauses and broad exception
+handlers that swallow.
 
 Not importable as part of the real package — this fixture only feeds the
 analyzer tests (see README.md in this directory). The filename must not
-look like test code (``test_*`` / ``conftest``): RB001 exempts those by
-name, and these seeds must stay visible.
+look like test code (``test_*`` / ``conftest``): RB001 exempts broad
+swallows there by name, and these seeds must stay visible.
 """
 
 
 def swallow_bare(run):
     try:
         return run()
-    except:  # seed:RB001-bare  # repro-lint: skip=BAN001
+    except:  # seed:RB001-bare
         pass
+
+
+def bare_but_handled(text):
+    try:
+        return int(text)
+    except:  # seed:RB001-bare-handled
+        return None
 
 
 def swallow_exception(run):

@@ -178,10 +178,10 @@ class TestTrampolineRecognition:
 
 class TestPragmasAndModules:
     def test_parse_skip_pragma_with_codes(self):
-        pragmas = parse_pragmas(["x = 1  # repro-lint: skip=BAN001,REC001"])
+        pragmas = parse_pragmas(["x = 1  # repro-lint: skip=RB001,REC001"])
         (pragma,) = pragmas[1]
         assert pragma.directive == "skip"
-        assert pragma.codes == {"BAN001", "REC001"}
+        assert pragma.codes == {"RB001", "REC001"}
 
     def test_parse_skip_pragma_all_codes(self):
         pragmas = parse_pragmas(["x = 1  # repro-lint: skip"])

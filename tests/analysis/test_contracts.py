@@ -12,9 +12,10 @@ from repro.analysis.contracts import (
     verify_partition_contract,
 )
 from repro.errors import ContractViolationError
-from repro.partition import Partitioning, get_algorithm
+from repro.partition import Partitioning, available_algorithms, get_algorithm
 from repro.partition.base import Partitioner
 from repro.tree.builders import tree_from_spec
+from tests.partition import oracles  # noqa: F401  - its partitioners join the walk below
 
 SPEC = (
     "a",
@@ -138,10 +139,32 @@ class TestPartitionerWiring:
         monkeypatch.setenv(ENV_FLAG, "1")
         _OverfillPartitioner().partition(tree, K, check=False)
 
-    @pytest.mark.parametrize("name", ["dhw", "ekm", "ghdw", "bfs"])
+    @pytest.mark.parametrize("name", available_algorithms())
     def test_real_algorithms_pass_checked_mode(self, tree, name):
+        # checked mode includes the input-immutability fingerprint; the
+        # 8-node tree is small enough for brute, and fdw takes flat trees
+        if name == "fdw":
+            tree = tree_from_spec(("r", 1, [("a", 2), ("b", 3), ("c", 2), ("d", 4)]))
         partitioning = get_algorithm(name).partition(tree, K, check=True)
         assert partitioning.cardinality >= 1
+
+
+def _subclasses(cls: type) -> list[type]:
+    out: list[type] = []
+    stack = [cls]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            out.append(sub)
+            stack.append(sub)
+    return out
+
+
+def test_no_partitioner_overrides_partition():
+    # ``Partitioner.partition`` owns the feasibility pre-check and the
+    # contract hook; algorithms plug in through ``_partition`` only
+    subclasses = _subclasses(Partitioner)
+    assert len(subclasses) > len(available_algorithms())
+    assert [cls for cls in subclasses if "partition" in vars(cls)] == []
 
 
 class TestContractsEnabled:

@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from repro import telemetry
 from repro.errors import StorageError
 from repro.partition import evaluate_partitioning, get_algorithm
 from repro.partition.interval import Partitioning
 from repro.storage import DocumentStore, StorageConfig, StoreUpdater
 from repro.storage.reconstruct import verify_store_integrity
-from repro.tree.node import NodeKind, Tree
+from repro.tree.node import NodeKind
 from repro.xmlio import parse_tree
 from tests.storage.oracles import (
     assert_members_match_scan,
@@ -21,13 +20,10 @@ LIMIT = 16
 
 
 @pytest.fixture(autouse=True)
-def flushes_match_the_oracle(request, monkeypatch):
+def flushes_match_the_oracle(monkeypatch):
     """After every flush of this module's scripts, every page slot and
-    ``encode_record`` equal the whole-tree scan + oracle codec. The
-    scaling guard is exempt: it counts tree walks, and the oracle is
-    one."""
-    if request.cls is TestUpdateCostScaling:
-        return
+    ``encode_record`` equal the whole-tree scan + oracle codec. (How a
+    flush's work scales is ``tests/test_linear_work.py``'s flush row.)"""
     flush = StoreUpdater.flush
 
     def checked_flush(updater):
@@ -308,54 +304,3 @@ class TestMemberLists:
         assert updater.stats.record_splits >= 2
         updater.flush()
         assert_pages_match_scan(store)
-
-
-def _sectioned_store(sections: int) -> DocumentStore:
-    """A root with ``sections`` identical 10-node subtrees, one record
-    each: section ``i`` has the same node ids whatever ``sections`` is."""
-    body = "<s><t>text</t>" + "<u/>" * 7 + "</s>"
-    tree = parse_tree("<doc>" + body * sections + "</doc>")
-    intervals = [(0, 0)] + [(s.node_id, s.node_id) for s in tree.root.children]
-    return DocumentStore.build(
-        tree, Partitioning(intervals), StorageConfig(record_limit=LIMIT)
-    )
-
-
-def _edit_first_sections(store: DocumentStore) -> tuple[int, int]:
-    """One fixed script against the first eight sections; returns
-    (nodes in the dirty records at flush time, nodes_encoded counter)."""
-    updater = StoreUpdater(store)
-    for section in store.tree.root.children[:8]:
-        sid = section.node_id
-        for i in range(4):
-            updater.insert_node(sid, f"n{i}")
-        updater.insert_node(sid, "front", position=0)
-        updater.update_content(sid + 2, "x" * 60)  # the section's text node
-    assert updater.stats.record_splits >= 8
-    expected = sum(len(store.members[rid]) for rid in updater._dirty)
-    with telemetry.capture() as reg:
-        updater.flush()
-    return expected, reg.counters["storage.updates.nodes_encoded"].value
-
-
-class TestUpdateCostScaling:
-    def test_work_is_the_dirty_records_not_the_document(self, monkeypatch):
-        small, large = _sectioned_store(200), _sectioned_store(2000)
-        assert len(small.tree) == 2001 and len(large.tree) == 20001
-        whole_document_scans = []
-        tree_iter = Tree.__iter__
-
-        def counting_iter(tree):
-            whole_document_scans.append(len(tree))
-            return tree_iter(tree)
-
-        counts = []
-        for store in (small, large):
-            monkeypatch.setattr(Tree, "__iter__", counting_iter)
-            expected, encoded = _edit_first_sections(store)
-            monkeypatch.setattr(Tree, "__iter__", tree_iter)
-            assert encoded == expected
-            counts.append(encoded)
-            verify_store_integrity(store)
-        assert whole_document_scans == []  # apply + flush never walk the tree
-        assert counts[0] == counts[1] > 0
