@@ -1,10 +1,11 @@
-"""The structural index: pre/post/level columns + partition windows.
+"""The structural index: preorder columns + a run-length record map.
 
-All columns are typed ``array('q')`` vectors indexed by **node id** (or,
-for ``node_at``, by preorder rank), built in a single iterative DFS over
-the store's tree — O(n) time, ~8 bytes per column per node, no Python
-object per node. The index is a *secondary* structure: it never owns
-document data, so dropping or rebuilding it is always safe.
+Per-node columns are typed ``array('q')`` vectors indexed by **node id**
+(``node_at`` by preorder rank), built in one iterative DFS over the
+store's tree — O(n) time, ~8 bytes per column per node. The record map
+has one entry per maximal run of preorder ranks stored in one record.
+The index is a *secondary* structure: it never owns document data, so
+dropping or rebuilding it is always safe.
 
 Validity: the index describes one exact (tree, record-assignment) state.
 Structural inserts and record splits/moves call
@@ -30,7 +31,7 @@ def _zeros(n: int) -> array:
 
 
 class StructuralIndex:
-    """Pre/post-order columns and partition windows for one document."""
+    """Preorder columns and the preorder record map for one document."""
 
     __slots__ = (
         "node_count",
@@ -38,8 +39,6 @@ class StructuralIndex:
         "valid",
         # per-node columns (indexed by node id)
         "pre_of",
-        "post_of",
-        "level_of",
         "size_of",
         "parent_of",
         "pos_of",
@@ -54,13 +53,9 @@ class StructuralIndex:
         # label dictionary + per-label sorted preorder postings (elements)
         "_label_ids",
         "_label_pre",
-        # partition (record) windows
-        "rec_min_pre",
-        "rec_max_pre",
-        "rec_min_post",
-        "rec_max_post",
-        "_rec_by_min_pre",
-        "_sorted_min_pre",
+        # record map: first preorder rank of each run, and its record
+        "run_start",
+        "run_record",
     )
 
     # -- construction ------------------------------------------------------
@@ -84,8 +79,6 @@ class StructuralIndex:
         self.valid = True
 
         pre_of = self.pre_of = _zeros(n)
-        post_of = self.post_of = _zeros(n)
-        level_of = self.level_of = _zeros(n)
         size_of = self.size_of = _zeros(n)
         parent_of = self.parent_of = _zeros(n)
         kind_of = self.kind_of = _zeros(n)
@@ -98,25 +91,18 @@ class StructuralIndex:
 
         element = int(NodeKind.ELEMENT)
         pre_counter = 0
-        post_counter = 0
         stack: list[tuple[object, bool]] = [(tree.root, False)]
         while stack:
             node, exiting = stack.pop()
             nid = node.node_id
             if exiting:
-                post_of[nid] = post_counter
-                post_counter += 1
                 size_of[nid] = pre_counter - pre_of[nid]
                 continue
             pre_of[nid] = pre_counter
             node_at[pre_counter] = nid
             pre_counter += 1
             parent = node.parent
-            if parent is None:
-                parent_of[nid] = -1
-            else:
-                parent_of[nid] = parent.node_id
-                level_of[nid] = level_of[parent.node_id] + 1
+            parent_of[nid] = -1 if parent is None else parent.node_id
             kind = int(node.kind)
             kind_of[nid] = kind
             lid = label_ids.setdefault(node.label, len(label_ids))
@@ -158,29 +144,19 @@ class StructuralIndex:
             attr_count[nid] = leading
         child_offset[n] = off
 
-        # record-aware partition map: min/max pre/post window per record
+        # record map: a sibling partition's preorder span has a hole per
+        # subtree cut out of it, so a record is a few runs, not one window
         record_of = store.record_of
-        count = store.record_count
-        self.record_count = count
-        rec_min_pre = self.rec_min_pre = array("q", [n] * count)
-        rec_max_pre = self.rec_max_pre = array("q", [-1] * count)
-        rec_min_post = self.rec_min_post = array("q", [n] * count)
-        rec_max_post = self.rec_max_post = array("q", [-1] * count)
-        for nid in range(n):
+        self.record_count = store.record_count
+        run_start = self.run_start = array("q")
+        run_record = self.run_record = array("q")
+        previous = -1
+        for rank, nid in enumerate(node_at):
             rid = record_of[nid]
-            pre = pre_of[nid]
-            post = post_of[nid]
-            if pre < rec_min_pre[rid]:
-                rec_min_pre[rid] = pre
-            if pre > rec_max_pre[rid]:
-                rec_max_pre[rid] = pre
-            if post < rec_min_post[rid]:
-                rec_min_post[rid] = post
-            if post > rec_max_post[rid]:
-                rec_max_post[rid] = post
-        order = sorted(range(count), key=rec_min_pre.__getitem__)
-        self._rec_by_min_pre = array("q", order)
-        self._sorted_min_pre = array("q", [rec_min_pre[r] for r in order])
+            if rid != previous:
+                run_start.append(rank)
+                run_record.append(rid)
+                previous = rid
         return self
 
     # -- lifecycle ---------------------------------------------------------
@@ -316,58 +292,27 @@ class StructuralIndex:
 
     # -- partition pruning -------------------------------------------------
 
-    def records_overlapping(self, windows: Sequence[tuple[int, int]]) -> list[int]:
-        """Record ids whose pre window intersects any of ``windows``
-        (half-open, disjoint, ascending — what
-        :meth:`descendant_windows` returns): the partitions a descendant
-        step must decode. One pass over the records sorted by
-        ``min_pre``; each bisects for the first window ending after it
-        starts."""
-        if not windows:
-            return []
-        los = [lo for lo, _ in windows]
-        his = [hi for _, hi in windows]
-        last = len(windows)
-        rec_max_pre = self.rec_max_pre
-        rec_by_min_pre = self._rec_by_min_pre
-        sorted_min_pre = self._sorted_min_pre
-        out = []
-        for at in range(bisect_left(sorted_min_pre, his[-1])):
-            rid = rec_by_min_pre[at]
-            k = bisect_right(his, sorted_min_pre[at])
-            if k < last and los[k] <= rec_max_pre[rid]:
-                out.append(rid)
+    def records_overlapping(self, windows: Sequence[tuple[int, int]]) -> set[int]:
+        """Exactly the records holding a node of ``windows`` (half-open,
+        non-empty, disjoint, ascending: what :meth:`descendant_windows`
+        returns). A window ending inside the last run read costs one
+        comparison; any other bisects the run starts and reads the runs
+        it touches."""
+        run_start = self.run_start
+        run_record = self.run_record
+        runs = len(run_start)
+        out: set[int] = set()
+        stop = 0  # the windows so far read runs [.., stop)
+        for lo, hi in windows:
+            if stop and (stop == runs or hi <= run_start[stop]):
+                continue
+            first = bisect_right(run_start, lo, stop) - 1
+            stop = bisect_left(run_start, hi, first + 1)
+            out.update(run_record[first:stop])
         return out
-
-    def records_for_ancestors(
-        self, node_ids: Sequence[int], or_self: bool
-    ) -> list[int]:
-        """Record ids that may hold an ancestor of any node of a
-        document-ordered node set: the record's window must reach before
-        that node in preorder *and* after it in postorder. One pass over
-        the records; each bisects the nodes' ``pre`` list and reads a
-        suffix minimum of their ``post``."""
-        pre_of = self.pre_of
-        post_of = self.post_of
-        pres = [pre_of[nid] for nid in node_ids]
-        # min_post_from[k] = min post over node_ids[k:]
-        min_post_from = [self.node_count] * (len(pres) + 1)
-        for k in range(len(pres) - 1, -1, -1):
-            min_post_from[k] = min(post_of[node_ids[k]], min_post_from[k + 1])
-        strict = 0 if or_self else 1
-        rec_min_pre = self.rec_min_pre
-        rec_max_post = self.rec_max_post
-        return [
-            rid
-            for rid in range(self.record_count)
-            if min_post_from[bisect_left(pres, rec_min_pre[rid] + strict)]
-            <= rec_max_post[rid] - strict
-        ]
 
     # -- structural predicates (used by tests / cross-checks) --------------
 
     def is_ancestor(self, ancestor_id: int, node_id: int) -> bool:
-        return (
-            self.pre_of[ancestor_id] < self.pre_of[node_id]
-            and self.post_of[ancestor_id] > self.post_of[node_id]
-        )
+        pre = self.pre_of[ancestor_id]
+        return pre < self.pre_of[node_id] < pre + self.size_of[ancestor_id]

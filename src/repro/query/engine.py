@@ -1,10 +1,11 @@
 """Evaluation of the XPath subset over a document store.
 
-Navigation-based, like Natix' query processor for these simple location
-paths: context node sets are expanded axis by axis through
-:class:`~repro.storage.store.StoredNode` hops (first-child /
-next-sibling / parent), so the store's cost counters directly reflect the
-work a navigational evaluator performs on the chosen partitioning.
+A store with a valid structural index answers each location step once
+for its whole context list, on node ids, and charges the cost model for
+the records the step decodes. Without one, context nodes are expanded
+axis by axis through :class:`~repro.storage.store.StoredNode` hops
+(first-child / next-sibling / parent), as Natix' navigational query
+processor does; both paths return identical node lists.
 
 Results are duplicate-free and in document order. Supported beyond the
 paper's Table 3 needs: the attribute axis (attributes are modelled as
@@ -99,20 +100,19 @@ def _axis_nodes(context: StoredNode, axis: Axis):
 # Set-at-a-time axis evaluation over the structural index.
 #
 # When a store carries a valid repro.index.StructuralIndex, a location
-# step is answered once for the whole context list from typed
-# pre/post/level columns, on bare node ids: descendant axes as a
-# staircase of disjoint preorder windows (contexts nested in a kept
-# window are skipped; a named test is one bisect pair per window over
-# the label's postings), ancestor axes as a parent-column climb that
-# stops at the first node already collected, the other axes as CSR
-# slices. Handles are made once per step, from the merged result. The
-# cost model is charged once per step as well: one buffer fetch per
-# page holding a partition the step must decode — the partitions whose
-# pre/post window overlaps the step's windows for range axes (the rest
-# are *pruned*, counted in NavigationStats.partitions_pruned), the
-# result's partitions for point axes — instead of per-hop intra/cross
-# steps. Results are bit-identical to navigation (the equivalence suite
-# in tests/index pins this); without a valid index the step navigates
+# step is answered once for the whole context list from typed preorder
+# columns, on bare node ids: descendant axes as a staircase of disjoint
+# preorder windows (contexts nested in a kept window are skipped; a
+# named test is one bisect pair per window over the label's postings),
+# ancestor axes as a parent-column climb that stops at the first node
+# already collected, the other axes as CSR slices. Handles are made once
+# per step, from the merged result. The cost model is charged once per
+# step as well: one buffer fetch per page holding a record the step
+# decodes — exactly the records holding a node of its windows
+# (descendant) or of its climb (ancestor); the others are *pruned*,
+# counted in NavigationStats.partitions_pruned — and the result's
+# records for the point axes. Results are bit-identical to navigation
+# (tests/index pins this); without a valid index the step navigates
 # (_navigate_step), counted once per step as index.fallbacks when the
 # index is there but stale.
 # ---------------------------------------------------------------------------
@@ -204,6 +204,7 @@ def _index_step(index, contexts, step: Step, positions):
     axis, test = step.axis, step.node_test
     virtual = isinstance(contexts[0], _VirtualRoot)
     proto = contexts[0]._doc_root if virtual else contexts[0]
+    store = proto.store
     ids = [context.node_id for context in contexts[virtual:]]
     or_self = axis in _OR_SELF_AXES
     root_matches = virtual and test.kind is NodeTestKind.ANY
@@ -223,10 +224,11 @@ def _index_step(index, contexts, step: Step, positions):
         decoded = index.records_overlapping(merged)
     else:
         population = _POPULATION[axis]
+        climbed = index.ancestors_of(ids, or_self) if axis in _ANCESTOR_AXES else None
         if positions:
             groups = [_filter_ids(index, population(index, nid), test) for nid in ids]
-        elif axis in _ANCESTOR_AXES:
-            groups = [_filter_ids(index, index.ancestors_of(ids, or_self), test)]
+        elif climbed is not None:
+            groups = [_filter_ids(index, climbed, test)]
         else:
             runs = [population(index, nid) for nid in ids]
             everything = runs[0] if len(runs) == 1 else chain.from_iterable(runs)
@@ -235,12 +237,9 @@ def _index_step(index, contexts, step: Step, positions):
             groups.insert(0, _filter_ids(index, index.node_at[:1], test))
         elif root_matches and (axis is Axis.SELF or or_self):
             groups.insert(0, [_VIRTUAL])
-        # a point axis decodes just the partitions holding its result
-        decoded = (
-            index.records_for_ancestors(ids, or_self)
-            if axis in _ANCESTOR_AXES
-            else None
-        )
+        # an ancestor step decodes the records of the nodes it climbed, a
+        # point axis just the records holding its result
+        decoded = None if climbed is None else set(map(store.record_of.__getitem__, climbed))
     for position in positions:
         groups = [_nth(group, position) for group in groups]
     if len(groups) == 1 and axis in _DESCENDANT_AXES:
@@ -255,7 +254,6 @@ def _index_step(index, contexts, step: Step, positions):
         out = sorted(found, key=index.pre_of.__getitem__)
     # handles of the contexts' flavour: record-backed (RecordNode) or
     # tree-backed (StoredNode); the navigator keeps its own counters
-    store = proto.store
     handle = type(proto)
     nav = getattr(proto, "navigator", None)
     if nav is not None:

@@ -61,9 +61,9 @@ class NavigationStats:
     #: whatever its context count; these replace hop charges with
     #: per-partition page touches
     window_steps: int = 0
-    #: partitions a range-axis step skipped because their pre/post
-    #: window overlapped none of the step's windows (the partition map's
-    #: savings), summed over steps
+    #: partitions a range-axis step skipped because they hold no node of
+    #: its windows or of its ancestor climb (the record map's savings),
+    #: summed over steps
     partitions_pruned: int = 0
 
     def cost(self, config: StorageConfig) -> float:
@@ -311,8 +311,8 @@ class DocumentStore:
         """Charge one index-answered location step to ``stats`` (this
         store's or a record navigator's): one buffer fetch per page
         holding a partition the step must decode. A range axis passes
-        the partitions its windows overlap (``range_records``; all the
-        others count as pruned); a point axis decodes just the
+        the partitions holding a node it reads (``range_records``; all
+        the others count as pruned); a point axis decodes just the
         partitions holding its result."""
         stats.window_steps += 1
         stats.node_visits += len(result_ids)

@@ -297,6 +297,6 @@ class StoreUpdater:
         members = store.members
         members[source] = [i for i in members[source] if i not in moved]
         members[target] = sorted(moved.union(members[target]))
-        # the partition windows in any structural index describe the old
+        # the record map in any structural index describes the old
         # assignment now (content-only updates that never split keep it)
         store.invalidate_index()
