@@ -35,7 +35,8 @@ from repro.partition import available_algorithms, evaluate_partitioning, get_alg
 from repro.partition.analysis import analyze_partitioning
 from repro.partition.render import render_partitioning
 from repro.partition.shapecache import default_cache
-from repro.query import run_query
+from repro.query import run_query, run_query_nodes
+from repro.query.engine import string_value
 from repro.storage import DocumentStore
 from repro.xmlio import parse_tree
 
@@ -101,7 +102,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     partitioning = get_algorithm(args.algorithm).partition(tree, args.limit)
     store = DocumentStore.build(tree, partitioning)
     store.warm_up()
-    run = run_query(store, args.xpath)
+    run, nodes = run_query_nodes(store, args.xpath)
     print(f"{run.result_count} results")
     print(
         f"navigation: {run.intra_steps} intra-record + {run.cross_steps} "
@@ -109,10 +110,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         f"cost {run.cost:.0f} units"
     )
     if args.show:
-        from repro.query import evaluate
-        from repro.query.engine import string_value
-
-        for node in evaluate(store, args.xpath)[: args.show]:
+        for node in nodes[: args.show]:
             value = string_value(node)
             print(f"  <{node.label}> {value[:60]!r}")
     return 0
@@ -146,8 +144,6 @@ def _index_comparison(store: DocumentStore, query: str) -> dict:
     evaluation with partition pruning) — and checks the node-id lists
     match bit for bit.
     """
-    from repro.query import run_query_nodes
-
     store.structural_index = None
     with telemetry.span("stats.index.navigation") as sp_nav:
         nav, nav_nodes = run_query_nodes(store, query)

@@ -8,11 +8,11 @@ often queries traverse each edge instead of defaulting to unit weights.
 This module closes that loop with the rest of the library:
 
 1. :func:`profile_workload` runs a set of XPath queries against a
-   throwaway single-record store whose ``edge_buffer`` collects raw
-   hops; after the run they are oriented into parent-child edge counts
-   (sibling hops are attributed to both endpoints' parent edges:
-   keeping either sibling with the parent keeps the hop intra-partition
-   in the parent-child model).
+   throwaway single-record store with access heat attached
+   (:mod:`repro.telemetry.heat`), which orients the hops into
+   parent-child edge counts (sibling hops are attributed to both
+   endpoints' parent edges: keeping either sibling with the parent
+   keeps the hop intra-partition in the parent-child model).
 2. :func:`workload_edge_weight` turns those counts into an edge-weight
    function for :func:`repro.partition.lukes.lukes_partition`.
 3. :func:`workload_aware_lukes` runs the whole pipeline.
@@ -36,6 +36,7 @@ def profile_workload(tree: Tree, queries: Sequence[str]) -> Counter:
     """
     from repro.query.engine import evaluate
     from repro.storage.store import DocumentStore
+    from repro.telemetry.heat import HeatAccumulator
 
     # A single giant "record" so profiling itself is cost-neutral; the
     # store is only used as the navigation substrate, so page size is
@@ -48,30 +49,11 @@ def profile_workload(tree: Tree, queries: Sequence[str]) -> Counter:
     store = DocumentStore.build(
         tree, Partitioning([(tree.root.node_id, tree.root.node_id)]), config
     )
-    # raw hops accumulate in a plain list on the store (one bare append
-    # per hop — a per-hop callback here is the PERF002 bug class);
-    # orientation onto parent→child edges happens once, after the run
-    hops: list = []
-    store.edge_buffer = hops
-    try:
-        for query in queries:
-            evaluate(store, query)
-    finally:
-        store.edge_buffer = None
-    counts: Counter = Counter()
-    nodes = tree.nodes
-    for source_id, target_id in hops:
-        source, target = nodes[source_id], nodes[target_id]
-        if target.parent is source:
-            counts[(source_id, target_id)] += 1
-        elif source.parent is target:
-            counts[(target_id, source_id)] += 1
-        else:
-            # sibling hop: benefits both endpoints' parent edges
-            for node in (source, target):
-                if node.parent is not None:
-                    counts[(node.parent.node_id, node.node_id)] += 1
-    return counts
+    heat = HeatAccumulator()
+    heat.attach("workload", store)
+    for query in queries:
+        evaluate(store, query)
+    return heat.profile().edge_counts("workload")
 
 
 def workload_edge_weight(

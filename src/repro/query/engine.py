@@ -1,11 +1,13 @@
 """Evaluation of the XPath subset over a document store.
 
-A store with a valid structural index answers each location step once
-for its whole context list, on node ids, and charges the cost model for
-the records the step decodes. Without one, context nodes are expanded
-axis by axis through :class:`~repro.storage.store.StoredNode` hops
-(first-child / next-sibling / parent), as Natix' navigational query
-processor does; both paths return identical node lists.
+Each evaluation walks through one navigator
+(:class:`~repro.storage.store.Navigator`), which owns the walk's
+counters. A store with a valid structural index answers each location
+step once for its whole context list, on node ids, and charges the cost
+model for the records the step decodes. Without one, context nodes are
+expanded axis by axis through handle hops (first-child / next-sibling /
+parent), as Natix' navigational query processor does; both paths return
+identical node lists.
 
 Results are duplicate-free and in document order. Supported beyond the
 paper's Table 3 needs: the attribute axis (attributes are modelled as
@@ -35,7 +37,7 @@ from repro.query.ast import (
 )
 from repro.query.parser import parse_xpath
 from repro.storage.constants import StorageConfig
-from repro.storage.store import DocumentStore, StoredNode
+from repro.storage.store import DocumentStore, Navigator, StoredNode
 from repro.tree.node import NodeKind
 
 
@@ -53,8 +55,8 @@ def _matches(node: StoredNode, test: NodeTest) -> bool:
 
 def _axis_nodes(context: StoredNode, axis: Axis):
     """Generate the axis population for one context node (all hops are
-    charged by StoredNode). Order is proximity order for reverse axes,
-    document order otherwise."""
+    charged to its navigator). Order is proximity order for reverse
+    axes, document order otherwise."""
     if axis is Axis.CHILD:
         yield from context.children()
     elif axis is Axis.ATTRIBUTE:
@@ -133,7 +135,7 @@ _OR_SELF_AXES = (Axis.DESCENDANT_OR_SELF, Axis.ANCESTOR_OR_SELF)
 def _usable_index(store):
     """The store's structural index, if present and valid (else None —
     with the stale case counted as one fallback for the calling step)."""
-    index = getattr(store, "structural_index", None)
+    index = store.structural_index
     if index is None:
         return None
     if not index.valid:
@@ -203,8 +205,8 @@ def _index_step(index, contexts, step: Step, positions):
     whose only child is the document element; it matches ``node()``."""
     axis, test = step.axis, step.node_test
     virtual = isinstance(contexts[0], _VirtualRoot)
-    proto = contexts[0]._doc_root if virtual else contexts[0]
-    store = proto.store
+    navigator = contexts[0].navigator
+    store = navigator.store
     ids = [context.node_id for context in contexts[virtual:]]
     or_self = axis in _OR_SELF_AXES
     root_matches = virtual and test.kind is NodeTestKind.ANY
@@ -252,17 +254,8 @@ def _index_step(index, contexts, step: Step, positions):
         with_root = _VIRTUAL in found
         found.discard(_VIRTUAL)
         out = sorted(found, key=index.pre_of.__getitem__)
-    # handles of the contexts' flavour: record-backed (RecordNode) or
-    # tree-backed (StoredNode); the navigator keeps its own counters
-    handle = type(proto)
-    nav = getattr(proto, "navigator", None)
-    if nav is not None:
-        store.charge_index_step(nav.stats, out, decoded)
-        handles = [handle(nav, i) for i in out]
-    else:
-        store.charge_index_step(store.stats, out, decoded)
-        nodes = store.tree.nodes
-        handles = [handle(store, nodes[i]) for i in out]
+    store.charge_index_step(navigator.stats, out, decoded)
+    handles = navigator.handles(out)
     if with_root:
         handles.insert(0, contexts[0])
     return handles
@@ -330,7 +323,7 @@ def _apply_step_task(contexts: list[StoredNode], step: Step):
     positions = [
         p.expr for p in step.predicates if isinstance(p.expr, Position)
     ]
-    store = contexts[0].store
+    store = contexts[0].navigator.store
     # one index evaluation for the whole context list when the store
     # carries a valid structural index; hop-by-hop navigation otherwise
     # (bit-identical results)
@@ -380,26 +373,21 @@ def _expr_holds_task(node: StoredNode, expr: PredicateExpr):
                 return False
         return expr.op != "or"
     if isinstance(expr, Comparison):
-        selected = yield _evaluate_path_task([node], expr.path, _source_of(node))
+        selected = yield _evaluate_path_task([node], expr.path, node.navigator)
         values = (string_value(n) for n in selected)
         if expr.op == "=":
             return any(v == expr.literal for v in values)
         return any(v != expr.literal for v in values)
     if isinstance(expr, LocationPath):
-        return bool((yield _evaluate_path_task([node], expr, _source_of(node))))
+        return bool((yield _evaluate_path_task([node], expr, node.navigator)))
     raise QueryEvaluationError(f"unsupported predicate expression {expr!r}")
 
 
-def _source_of(node):
-    """The navigator that produced a node handle (for absolute sub-paths)."""
-    return getattr(node, "navigator", None) or node.store
-
-
-def _evaluate_path_task(contexts: list[StoredNode], path: LocationPath, source):
+def _evaluate_path_task(
+    contexts: list[StoredNode], path: LocationPath, navigator: Navigator
+):
     if path.absolute:
-        root = source.root()
-        store = getattr(source, "store", source)
-        contexts = [_VirtualRoot(store, root)]  # type: ignore[list-item]
+        contexts = [_VirtualRoot(navigator, navigator.root())]  # type: ignore[list-item]
     current = contexts
     for step in path.steps:
         if not current:
@@ -407,22 +395,23 @@ def _evaluate_path_task(contexts: list[StoredNode], path: LocationPath, source):
         current = yield _apply_step_task(current, step)
     # A bare "/" selects the virtual root; report the document element.
     if path.absolute and not path.steps:
-        return [source.root()]
+        return [navigator.root()]
     return current
 
 
 class _VirtualRoot:
     """The XPath root node: parent of the document element.
 
-    Duck-typed so it wraps either navigator's node handles (tree-backed
-    :class:`StoredNode` or record-backed
-    :class:`~repro.storage.navigator.RecordNode`).
+    Duck-typed so it wraps any navigator's document-element handle
+    (tree-backed :class:`StoredNode` or record-backed
+    :class:`~repro.storage.navigator.RecordNode`); it carries the same
+    navigator, so steps from it are charged to the same walk.
     """
 
-    __slots__ = ("store", "node_id", "_doc_root")
+    __slots__ = ("navigator", "node_id", "_doc_root")
 
-    def __init__(self, store: DocumentStore, doc_root):
-        self.store = store
+    def __init__(self, navigator: Navigator, doc_root):
+        self.navigator = navigator
         self.node_id = _VIRTUAL
         self._doc_root = doc_root
 
@@ -480,33 +469,33 @@ class QueryRun:
 def evaluate(source, xpath: str) -> list[StoredNode]:
     """Evaluate an expression; returns matching nodes in document order.
 
-    ``source`` is a :class:`DocumentStore` or any navigator exposing the
-    same ``root()`` handle protocol (e.g.
+    ``source`` is a :class:`DocumentStore`, walked by a fresh
+    :meth:`~DocumentStore.navigator`, or a :class:`Navigator` (e.g. a
     :class:`~repro.storage.navigator.RecordNavigator` for fully
-    record-backed evaluation).
+    record-backed evaluation) that counts the walk in its ``stats``.
     """
+    navigator = source.navigator() if isinstance(source, DocumentStore) else source
     path = parse_xpath(xpath)
-    return _run(_evaluate_path_task([source.root()], path, source))
+    return _run(_evaluate_path_task([navigator.root()], path, navigator))
 
 
 def run_query_nodes(
     store: DocumentStore, xpath: str, config: StorageConfig | None = None
 ) -> tuple[QueryRun, list[StoredNode]]:
-    """Evaluate once with fresh counters; returns the measured
+    """Evaluate once through a fresh navigator; returns the measured
     :class:`QueryRun` and the matching nodes it counted (buffer content
     is left warm across runs, matching the paper's protocol)."""
     config = config or store.config
-    store.stats.reset()
+    navigator = store.navigator()
     index = store.structural_index
     # how the steps are answered: "window", or why they navigate
     answered = "absent" if index is None else "window" if index.valid else "invalid"
     with telemetry.span("query.run", xpath=xpath, index=answered) as sp:
-        results = evaluate(store, xpath)
+        results = evaluate(navigator, xpath)
         sp.attrs["results"] = len(results)
-    stats = store.stats
-    drain = store.heat_drain
-    if drain is not None:
-        drain()  # fold this query's buffered hops into the heat tallies
+    stats = navigator.stats
+    if navigator.heat is not None:
+        navigator.heat.drain()  # park this query's buffered hops
     if telemetry.enabled():
         telemetry.count("query.runs")
         telemetry.count("query.results", len(results))

@@ -11,13 +11,12 @@ Locking discipline (see ``docs/SERVICE.md``):
   held only for dict operations — never across engine work;
 * each document carries a writer-preferring :class:`ReadWriteLock`:
   ingest, resume and delete take the write side; queries take the read
-  side, so *distinct* documents ingest and query fully concurrently;
-* the engine's navigation counters (``DocumentStore.stats``, reset and
-  bumped unguarded by ``run_query``) are one shared block per store, so
-  *same-document* queries additionally serialize on the entry's
-  ``_stats_latch``. Cross-document parallelism is what the service
-  scales on; a same-document query holds the latch only for the
-  evaluation itself.
+  side, so queries run concurrently with each other, on one document or
+  many, and only ingest and delete exclude them;
+* a query's navigation counters belong to the navigator
+  ``run_query_nodes`` makes for it, not to the store, so concurrent
+  queries of one document count apart and need no further lock. The
+  entry's ``_stats_latch`` guards only its ``queries`` tally.
 
 Crash-safe ingest: ``?journal=1`` routes the load through the fsync'd
 import journal. A load that dies mid-way (injected fault, I/O error)
@@ -156,7 +155,7 @@ class DocumentEntry:
     """One stored document plus its concurrency state.
 
     Field writes happen under the entry's write lock (ingest/delete) or
-    the stats latch (query accounting); readers snapshot via
+    the stats latch (the ``queries`` tally); readers snapshot via
     :meth:`info` which copies scalars only.
     """
 
@@ -165,8 +164,7 @@ class DocumentEntry:
         self.algorithm = algorithm
         self.limit = limit
         self.lock = ReadWriteLock()
-        #: serializes same-document query execution — ``run_query``
-        #: resets and mutates the store's shared stats block unguarded
+        #: guards ``queries``: concurrent readers of one document bump it
         self._stats_latch = threading.Lock()
         self.status = "loading"  # loading | ready | failed
         self.store: Optional[DocumentStore] = None
@@ -473,12 +471,12 @@ class StoreRegistry:
                     return cached
             store = entry.store
             assert store is not None  # implied by status == ready
+            with telemetry.span("service.query", doc=doc_id):
+                run, nodes = run_query_nodes(store, xpath)
+                values: Optional[list[str]] = None
+                if show > 0:
+                    values = [string_value(node) for node in nodes[:show]]
             with entry._stats_latch:
-                with telemetry.span("service.query", doc=doc_id):
-                    run, nodes = run_query_nodes(store, xpath)
-                    values: Optional[list[str]] = None
-                    if show > 0:
-                        values = [string_value(node) for node in nodes[:show]]
                 entry.queries += 1
             payload: dict[str, Any] = {
                 "document": doc_id,

@@ -11,10 +11,11 @@ The engine materializes a partitioned document the way Natix does:
 * a **buffer pool** (:mod:`repro.storage.buffer`) caches pages with LRU
   replacement and counts hits/misses,
 * :class:`~repro.storage.store.DocumentStore` exposes navigational
-  access through :class:`~repro.storage.store.StoredNode`; every axis
-  step is classified intra-record (cheap pointer chase) or cross-record
-  (record lookup through the buffer), which is the cost difference the
-  whole paper is about.
+  access through a per-walk navigator (``store.navigator()``) and its
+  :class:`~repro.storage.store.StoredNode` handles; every axis step is
+  classified intra-record (cheap pointer chase) or cross-record (record
+  lookup through the buffer), which is the cost difference the whole
+  paper is about, and counted in that walk's ``navigator.stats``.
 """
 
 from repro.storage.constants import StorageConfig, DEFAULT_CONFIG

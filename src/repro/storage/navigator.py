@@ -13,20 +13,23 @@ does. Structure comes from three sources only:
   children and the fragment roots (possibly in several other records)
   claiming it as parent — merged by position.
 
-Tests drive full-document traversals through both navigators and assert
-identical structure *and* identical cross-record step counts, which
-validates the cost model the experiments rely on.
+Both navigators subclass :class:`~repro.storage.store.Navigator`, so a
+hop is charged by the same routine whichever one makes it. Tests drive
+full-document traversals through both and assert identical structure
+*and* identical cross-record step counts, which validates the cost model
+the experiments rely on.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterator, Optional
 
 from repro.errors import StorageError
 from repro.storage.record import DOCUMENT_ROOT, NO_PARENT, Record
-from repro.storage.store import DocumentStore, NavigationStats
+from repro.storage.store import DocumentStore, Navigator
 from repro.tree.node import NodeKind
 
 
@@ -57,21 +60,27 @@ class _DecodedRecord:
         return decoded
 
 
-class RecordNavigator:
-    """Navigates a :class:`DocumentStore`'s documents from records alone.
+class RecordNavigator(Navigator):
+    """Navigates a :class:`DocumentStore`'s document from records alone.
 
-    Shares the store's buffer pool (so page-level accounting is real) but
-    keeps its own :class:`NavigationStats`, letting tests compare both
-    navigators' counters on identical walks.
+    Shares the store's buffer pool (so page-level accounting is real) and
+    counts its walk in its own :class:`~repro.storage.store.NavigationStats`
+    like any navigator. Decodes every record up front for the proxy index,
+    then memoizes each parent's merged child list and each child's place
+    in it, which the walk may reuse because the store does not change
+    under it.
     """
 
     def __init__(self, store: DocumentStore):
-        self.store = store
-        self.stats = NavigationStats()
+        super().__init__(store)
         self._decoded: dict[int, _DecodedRecord] = {}
         # proxy index: parent node_id -> sorted (position, child node_id)
         # over all fragment roots of all records
         self._proxies: dict[int, list[tuple[int, int]]] = {}
+        #: parent node_id -> its children's ids in sibling order
+        self._children: dict[int, list[int]] = {}
+        #: child node_id -> its index in its parent's ``_children`` list
+        self._sibling_index: dict[int, int] = {}
         self._root_id: Optional[int] = None
         for record_id in range(store.record_count):
             record = store.fetch_record(record_id)
@@ -104,46 +113,26 @@ class RecordNavigator:
         decoded = self._decoded_record(self._record_of(node_id))
         return decoded.record.nodes[decoded.slot_of[node_id]]
 
-    def _charge(self, source_id: int, target_id: int) -> None:
-        # heat accounting is one pre-bound buffered append (drained at
-        # end of query + every store.heat_flush_at hops on the cross
-        # branch) — a per-hop Python callback here cost ~50% on
-        # navigation-bound queries (PERF002 guards this path)
-        store = self.store
-        heat_append = store.heat_append
-        if self._record_of(source_id) == self._record_of(target_id):
-            self.stats.intra_steps += 1
-            if heat_append is not None:
-                # packed int, not a tuple: untracked by gc and folded at
-                # machine-word speed (see telemetry.heat.pack_hop)
-                heat_append(source_id << 32 | target_id)
-            return
-        self.stats.cross_steps += 1
-        page_id = store.manager.page_of_record[self._record_of(target_id)]
-        fault = not store.buffer.is_cached(page_id)
-        if fault:
-            self.stats.page_faults += 1
-        store.buffer.fetch(page_id)
-        if heat_append is not None:
-            heat_append(source_id << 32 | target_id)
-            if fault:
-                store.heat_fault_append(source_id << 32 | target_id)
-            if len(store.heat_buffer) >= store.heat_flush_at:
-                store.heat_drain()
-
     def _children_ids(self, node_id: int) -> list[int]:
         """All children (in-record + proxied), in sibling order."""
-        decoded = self._decoded_record(self._record_of(node_id))
-        local = decoded.children_of.get(node_id, [])
-        proxied = self._proxies.get(node_id, [])
-        merged = sorted(local + proxied)
-        return [child_id for _pos, child_id in merged]
+        children = self._children.get(node_id)
+        if children is None:
+            decoded = self._decoded_record(self._record_of(node_id))
+            local = decoded.children_of.get(node_id, [])
+            proxied = self._proxies.get(node_id, [])
+            children = [child_id for _pos, child_id in sorted(local + proxied)]
+            self._children[node_id] = children
+            self._sibling_index.update(zip(children, count()))
+        return children
 
     # -- public API ----------------------------------------------------------
 
     def root(self) -> "RecordNode":
         self.stats.node_visits += 1
         return RecordNode(self, self._root_id)
+
+    def handles(self, ids) -> list["RecordNode"]:
+        return [RecordNode(self, i) for i in ids]
 
 
 class RecordNode:
@@ -177,11 +166,6 @@ class RecordNode:
         return self.navigator._record_of(self.node_id)
 
     @property
-    def store(self) -> DocumentStore:
-        """The owning store (document-order ranks, label dictionary)."""
-        return self.navigator.store
-
-    @property
     def position(self) -> int:
         return self.navigator._entry(self.node_id).position
 
@@ -193,9 +177,9 @@ class RecordNode:
     def _hop(self, target_id: Optional[int]) -> Optional["RecordNode"]:
         if target_id is None:
             return None
-        self.navigator._charge(self.node_id, target_id)
-        self.navigator.stats.node_visits += 1
-        return RecordNode(self.navigator, target_id)
+        navigator = self.navigator
+        navigator._charge(self.node_id, target_id)
+        return RecordNode(navigator, target_id)
 
     def parent(self) -> Optional["RecordNode"]:
         entry = self.navigator._entry(self.node_id)
@@ -214,9 +198,9 @@ class RecordNode:
         entry = self.navigator._entry(self.node_id)
         if entry.parent_node_id == DOCUMENT_ROOT and entry.parent_slot == NO_PARENT:
             return None
-        parent = self.parent_id()
-        siblings = self.navigator._children_ids(parent)
-        index = siblings.index(self.node_id) + offset
+        navigator = self.navigator
+        siblings = navigator._children_ids(self.parent_id())
+        index = navigator._sibling_index[self.node_id] + offset
         if 0 <= index < len(siblings):
             return self._hop(siblings[index])
         return None

@@ -148,7 +148,6 @@ def _remap_ids(tree: Tree, id_map: dict[int, TreeNode]) -> Tree:
         if not 0 <= original_id < n:
             raise StorageError("original node ids are not dense; cannot remap")
         node.node_id = original_id
-        node.packed_id = original_id << 32
         replacement[original_id] = node
     if any(slot is None for slot in replacement):
         raise StorageError("original node ids are not a permutation")

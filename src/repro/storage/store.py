@@ -4,8 +4,8 @@
 partition is serialized into one record (:meth:`DocumentStore.
 encode_record`, layout in :mod:`repro.storage.record`), records are
 packed onto pages, and a shared label dictionary maps tag
-names to ids. Queries then navigate :class:`StoredNode` handles; each
-axis step is charged
+names to ids. A walk over the document gets its own :class:`Navigator`
+(:meth:`DocumentStore.navigator`), whose handles charge each axis step
 
 * ``intra_cost`` when source and target live in the same record,
 * ``cross_cost`` (+ a buffer fetch, + ``fault_cost`` on a page miss)
@@ -14,6 +14,8 @@ axis step is charged
 This is the quantity Table 3 measures: the same document stored under
 KM's single-node partitions forces a cross-record hop for nearly every
 edge, while EKM's sibling partitions keep whole child sequences local.
+The store itself keeps no navigation counters: they belong to the walk,
+so concurrent walks over one store count apart.
 
 Durable state is the pages (and the WAL, when attached). Beside the tree
 the store keeps three mirrors of the node -> record assignment, all
@@ -27,7 +29,7 @@ what makes re-encoding a record cost its own size, not the document's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro import telemetry
@@ -51,7 +53,7 @@ from repro.tree.node import NodeKind, Tree, TreeNode
 
 @dataclass
 class NavigationStats:
-    """Counters and the derived simulated cost of a navigation workload."""
+    """One walk's counters and their derived simulated cost."""
 
     intra_steps: int = 0
     cross_steps: int = 0
@@ -73,14 +75,6 @@ class NavigationStats:
             + self.page_faults * config.fault_cost
         )
 
-    def reset(self) -> None:
-        self.intra_steps = 0
-        self.cross_steps = 0
-        self.page_faults = 0
-        self.node_visits = 0
-        self.window_steps = 0
-        self.partitions_pruned = 0
-
 
 class DocumentStore:
     """A partitioned, serialized document with navigational access."""
@@ -94,27 +88,10 @@ class DocumentStore:
         self.tree = tree
         self.partitioning = partitioning
         self.config = config
-        self.stats = NavigationStats()
-        #: optional list collecting raw (source_id, target_id) hops —
-        #: used by workload profiling; a bare ``list.append`` on the hot
-        #: path instead of a per-hop Python callback (PERF002)
-        self.edge_buffer = None
-        #: pre-bound ``list.append`` of the live heat buffer (see
-        #: :mod:`repro.telemetry.heat`) collecting raw (source_id,
-        #: target_id) hops — the *only* heat work on the intra-record
-        #: hot path; appends are atomic under the GIL
-        self.heat_append = None
-        #: pre-bound append of the page-fault hop buffer (cross-record
-        #: path only — faults can only happen there)
-        self.heat_fault_append = None
-        #: the raw hop list behind :attr:`heat_append` (drain/detach
-        #: bookkeeping; the hot path never touches it by name)
-        self.heat_buffer = None
-        #: locked drain callable installed alongside :attr:`heat_append`;
-        #: the engine calls it at end of query, the cross-record path
-        #: every :attr:`heat_flush_at` buffered hops
-        self.heat_drain = None
-        self.heat_flush_at = 8192
+        #: live heat tallies of this document (``_DocHeat``, set by
+        #: :meth:`repro.telemetry.heat.HeatAccumulator.attach`); every
+        #: navigator made while it is set reports its hops there
+        self.heat = None
         #: optional :class:`repro.index.StructuralIndex`; when present
         #: and valid the query engine answers axis steps by window
         #: lookups instead of navigation (see :meth:`build_index`)
@@ -203,13 +180,7 @@ class DocumentStore:
         """
         store = cls.__new__(cls)
         store.config = config
-        store.stats = NavigationStats()
-        store.edge_buffer = None
-        store.heat_append = None
-        store.heat_fault_append = None
-        store.heat_buffer = None
-        store.heat_drain = None
-        store.heat_flush_at = 8192
+        store.heat = None
         store.structural_index = None
         store.wal = None
         store.labels = []
@@ -242,7 +213,6 @@ class DocumentStore:
         self._order_ranks = None
         # recovered state never trusts a pre-crash index; rebuild on demand
         self.structural_index = None
-        self.stats.reset()
 
     def attach_wal(self, wal) -> None:
         """Route update flushes through ``wal`` (a
@@ -259,57 +229,22 @@ class DocumentStore:
     # -- accounting ------------------------------------------------------
 
     def warm_up(self) -> None:
-        """Preload the buffer and zero the counters (Table 3 protocol).
+        """Preload the buffer and zero its counters (Table 3 protocol).
 
-        This is the one sanctioned implicit reset: the paper measures
-        *after* preloading, so both the navigation counters and the
-        pool's workload counters start from zero here. The pool's own
+        The paper measures *after* preloading, so the pool's workload
+        counters start from zero here; its own
         :meth:`~repro.storage.buffer.BufferPool.warm_up` never charges
-        workload counters by itself (see its module docstring).
+        them by itself (see its module docstring). Navigation counters
+        need no reset: each walk's navigator starts its own.
         """
         self.buffer.warm_up()
-        self.stats.reset()
         self.buffer.stats.reset()
-
-    def _charge_step(self, source: TreeNode, target: TreeNode) -> None:
-        # hook accounting is batched: one pre-bound list.append per hop
-        # (no Python call frame, no per-hop threshold bookkeeping on the
-        # dominant intra branch); heat drains at end of query and every
-        # heat_flush_at hops on the cross branch, edge buffers at the
-        # profiler's leisure (PERF002 forbids per-element callbacks here)
-        source_id = source.node_id
-        target_id = target.node_id
-        edges = self.edge_buffer
-        if edges is not None:
-            edges.append((source_id, target_id))
-        heat_append = self.heat_append
-        if self.record_of[source_id] == self.record_of[target_id]:
-            self.stats.intra_steps += 1
-            if heat_append is not None:
-                # packed int, not a tuple: untracked by gc and folded at
-                # machine-word speed; ORs into the node's precomputed
-                # packed_id so the hop pays no shift (see
-                # telemetry.heat.pack_hop)
-                heat_append(source.packed_id | target_id)
-            return
-        self.stats.cross_steps += 1
-        page_id = self.manager.page_of_record[self.record_of[target_id]]
-        cached = self.buffer.is_cached(page_id)
-        self.buffer.fetch(page_id)
-        if not cached:
-            self.stats.page_faults += 1
-        if heat_append is not None:
-            heat_append(source.packed_id | target_id)
-            if not cached:
-                self.heat_fault_append(source.packed_id | target_id)
-            if len(self.heat_buffer) >= self.heat_flush_at:
-                self.heat_drain()
 
     def charge_index_step(
         self, stats: NavigationStats, result_ids, range_records=None
     ) -> None:
-        """Charge one index-answered location step to ``stats`` (this
-        store's or a record navigator's): one buffer fetch per page
+        """Charge one index-answered location step to ``stats`` (a
+        navigator's): one buffer fetch per page
         holding a partition the step must decode. A range axis passes
         the partitions holding a node it reads (``range_records``; all
         the others count as pruned); a point axis decodes just the
@@ -332,9 +267,6 @@ class DocumentStore:
             if not buffer.is_cached(page_id):
                 stats.page_faults += 1
             buffer.fetch(page_id)
-
-    def simulated_cost(self) -> float:
-        return self.stats.cost(self.config)
 
     def space_report(self) -> SpaceReport:
         return self.manager.space_report()
@@ -455,16 +387,66 @@ class DocumentStore:
 
     # -- navigation ------------------------------------------------------
 
+    def navigator(self) -> "TreeNavigator":
+        """A fresh navigator for one walk, with its own counters."""
+        return TreeNavigator(self)
+
+
+class Navigator:
+    """One walk over a store: its counters and the one hop charge.
+
+    A navigator lives for one walk (a query run, a scan) and owns that
+    walk's :class:`NavigationStats`, so walks over one store never share
+    counters. Handles hold their navigator and call :meth:`_charge` for
+    every hop they make. Subclasses add ``root()`` (the document
+    element's handle) and ``handles(ids)`` (handles for node ids).
+    """
+
+    def __init__(self, store: DocumentStore):
+        self.store = store
+        self.stats = NavigationStats()
+        #: the document's heat tallies when heat is on, else ``None``
+        self.heat = store.heat
+
+    def _charge(self, source_id: int, target_id: int) -> None:
+        # heat is one pre-bound list.append per hop on the intra branch
+        # (PERF002 forbids a per-hop callback here); the cross branch
+        # also buffers faults and drains at a threshold
+        stats = self.stats
+        stats.node_visits += 1
+        store = self.store
+        record_of = store.record_of
+        heat = self.heat
+        if record_of[source_id] == record_of[target_id]:
+            stats.intra_steps += 1
+            if heat is not None:
+                heat.append(source_id << 32 | target_id)
+            return
+        stats.cross_steps += 1
+        page_id = store.manager.page_of_record[record_of[target_id]]
+        fault = not store.buffer.is_cached(page_id)
+        store.buffer.fetch(page_id)
+        if fault:
+            stats.page_faults += 1
+        if heat is not None:
+            heat.cross(source_id << 32 | target_id, fault)
+
+
+class TreeNavigator(Navigator):
+    """Navigates the in-memory tree; hops are charged by the record
+    assignment, cross steps through the buffer pool."""
+
     def root(self) -> "StoredNode":
         self.stats.node_visits += 1
-        return StoredNode(self, self.tree.root)
+        return StoredNode(self, self.store.tree.root)
 
-    def node(self, node_id: int) -> "StoredNode":
-        return StoredNode(self, self.tree.node(node_id))
+    def handles(self, ids) -> list["StoredNode"]:
+        nodes = self.store.tree.nodes
+        return [StoredNode(self, nodes[i]) for i in ids]
 
 
 class StoredNode:
-    """Handle to one stored node; navigation is charged to the store.
+    """Handle to one stored node; every hop is charged to its navigator.
 
     The structural links come from the in-memory tree (this is a
     simulator), but every step is classified intra- vs cross-record using
@@ -472,10 +454,10 @@ class StoredNode:
     pool — the quantities the experiments measure.
     """
 
-    __slots__ = ("store", "_node")
+    __slots__ = ("navigator", "_node")
 
-    def __init__(self, store: DocumentStore, node: TreeNode):
-        self.store = store
+    def __init__(self, navigator: Navigator, node: TreeNode):
+        self.navigator = navigator
         self._node = node
 
     # identity / payload (no navigation cost)
@@ -498,7 +480,7 @@ class StoredNode:
 
     @property
     def record_id(self) -> int:
-        return self.store.record_of[self._node.node_id]
+        return self.navigator.store.record_of[self._node.node_id]
 
     def is_element(self) -> bool:
         return self._node.kind is NodeKind.ELEMENT
@@ -508,9 +490,9 @@ class StoredNode:
     def _hop(self, target: Optional[TreeNode]) -> Optional["StoredNode"]:
         if target is None:
             return None
-        self.store._charge_step(self._node, target)
-        self.store.stats.node_visits += 1
-        return StoredNode(self.store, target)
+        navigator = self.navigator
+        navigator._charge(self._node.node_id, target.node_id)
+        return StoredNode(navigator, target)
 
     def parent(self) -> Optional["StoredNode"]:
         return self._hop(self._node.parent)
@@ -548,5 +530,6 @@ class StoredNode:
             child = node.first_child()
             if child is not None:
                 stack.append(child)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StoredNode(id={self.node_id}, label={self.label!r}, record={self.record_id})"

@@ -6,23 +6,24 @@ document, in the units of the paper's navigation cost model (intra
 steps, cross-record steps, page faults). This module collects them live:
 
 * :class:`HeatAccumulator` hands each attached document's raw hop
-  buffer to the store (``DocumentStore.heat_append`` is the *pre-bound*
-  ``list.append`` of that buffer; same zero-cost-when-off idea as the
-  profiler's ``edge_buffer``: a single ``is not None`` branch on the
-  navigation hot path when heat is off). The hot path does the absolute
-  minimum per hop — one bare append of the hop *packed into a single
-  int* (``source_id << 32 | target_id``, see :func:`pack_hop`), **no
+  buffers to the store as ``DocumentStore.heat`` (a :class:`_DocHeat`);
+  every navigator made while it is set reports its hops there. Heat off
+  costs a single ``is not None`` branch per hop. The hot path does the
+  absolute minimum per hop — one bare append, through the pre-bound
+  :attr:`_DocHeat.append`, of the hop *packed into a single int*
+  (``source_id << 32 | target_id``, see :func:`pack_hop`), **no
   callback frame** (a per-hop Python call cost ~50% on navigation-bound
-  queries; lint rule PERF002 now guards against reintroducing one).
+  queries; lint rule PERF002 guards against reintroducing one).
   Packed ints beat ``(source, target)`` tuples twice over: they are not
   gc-tracked (half a million buffered tuples per query drove visible
   gen-0 collection pressure) and they hash/compare as single machine
   words when the drain folds them. Page faults are rare, so they ride
-  the already-expensive cross-record branch into a second buffer.
-  Appends are atomic under the GIL, so the hot path takes no lock
-  either; a lock is only touched when ``heat_drain`` moves the buffers
-  aside — at end of query (the engine drains there) or every
-  :data:`_FLUSH_AT` hops on the cross-record path. The drain is a
+  the already-expensive cross-record branch (:meth:`_DocHeat.cross`)
+  into a second buffer. Appends are atomic under the GIL, so the hot
+  path takes no lock either; a lock is only touched when
+  :meth:`_DocHeat.drain` moves the buffers aside — at end of query
+  (``run_query_nodes`` drains there) or every :data:`_FLUSH_AT` hops on
+  the cross-record path. The drain is a
   prefix copy, not a fold: batches park in a pending list and are
   folded into the ``Counter`` tallies lazily (``Counter.update``,
   i.e. C-speed ``_count_elements`` over int keys) at
@@ -33,9 +34,10 @@ steps, cross-record steps, page faults). This module collects them live:
 
 * :meth:`HeatAccumulator.profile` does everything expensive lazily, at
   read time: hops are *oriented* onto parent→child tree edges (sibling
-  hops credit both endpoints' parent edges, exactly like
-  :func:`repro.partition.workload.profile_workload`) and aggregated per
-  partition via the store's record assignment.
+  hops credit both endpoints' parent edges) and aggregated per
+  partition via the store's record assignment. This is the one place
+  hops become edges; :func:`repro.partition.workload.profile_workload`
+  reads its edge counts from here too.
 
 The resulting :class:`HeatProfile` is the bridge to repartitioning:
 :meth:`HeatProfile.edge_counts` returns a ``Counter`` keyed
@@ -73,10 +75,11 @@ def pack_hop(source_id: int, target_id: int) -> int:
 
 
 class _DocHeat:
-    """Raw hop tallies for one attached document.
+    """Raw hop tallies for one attached document (``DocumentStore.heat``).
 
-    ``buffer`` (every hop) and ``fault_buffer`` (faulted hops only) are
-    the only structures the navigation hot path touches: executor
+    ``buffer`` (every hop, through the pre-bound :attr:`append`) and
+    ``fault_buffer`` (faulted hops only, through :meth:`cross`) are the
+    only structures the navigation hot path touches: executor
     threads ``append`` concurrently without the lock (list appends are
     atomic under the GIL; the drain below only ever removes a prefix it
     has already copied, so concurrent tail appends survive).
@@ -86,6 +89,7 @@ class _DocHeat:
         "store",
         "lock",
         "buffer",
+        "append",
         "fault_buffer",
         "pending",
         "fault_pending",
@@ -99,6 +103,8 @@ class _DocHeat:
         self.lock = threading.Lock()
         #: undrained packed hops (:func:`pack_hop`), append-only
         self.buffer: list = []
+        #: ``buffer.append``, bound once: the intra-record hop's one call
+        self.append = self.buffer.append
         #: undrained packed page-fault hops, append-only
         self.fault_buffer: list = []
         #: drained-but-unfolded hop batches  # repro: guarded-by(lock)
@@ -111,6 +117,15 @@ class _DocHeat:
         self.hops: Counter = Counter()  # repro: guarded-by(lock)
         #: packed hop -> page-fault count
         self.fault_hops: Counter = Counter()  # repro: guarded-by(lock)
+
+    def cross(self, packed: int, fault: bool) -> None:
+        """Buffer one cross-record hop, and its page fault if it made
+        one; drain once :data:`_FLUSH_AT` hops are buffered."""
+        self.buffer.append(packed)
+        if fault:
+            self.fault_buffer.append(packed)
+        if len(self.buffer) >= _FLUSH_AT:
+            self.drain()
 
     def drain(self) -> None:
         """Move the buffered hops into the pending batches (locked, cheap).
@@ -235,31 +250,22 @@ class HeatAccumulator:
     def attach(self, doc: str, store) -> None:
         """Start accounting navigation heat for ``store`` under ``doc``.
 
-        The store's hot paths call the pre-bound ``heat_append``
-        straight into this doc's buffer — no per-hop callback frame
-        (the old closure sink cost ~50% on navigation-bound queries) —
-        and ``heat_drain`` folds it at end of query, or every
-        ``heat_flush_at`` hops on the cross-record path. Re-attaching
+        Sets ``store.heat`` to the doc's :class:`_DocHeat`; navigators
+        made from then on append their hops to its buffers, and
+        ``run_query_nodes`` drains them at end of query. Re-attaching
         the same doc id (re-ingest) resets its tallies.
         """
         heat = _DocHeat(store)
         with self._lock:
             self._docs[doc] = heat
-        store.heat_drain = heat.drain
-        store.heat_flush_at = _FLUSH_AT
-        store.heat_buffer = heat.buffer
-        store.heat_fault_append = heat.fault_buffer.append
-        store.heat_append = heat.buffer.append
+        store.heat = heat
 
     def detach(self, doc: str) -> None:
         """Stop accounting for ``doc`` and drop its tallies."""
         with self._lock:
             heat = self._docs.pop(doc, None)
-        if heat is not None and heat.store.heat_buffer is heat.buffer:
-            heat.store.heat_append = None
-            heat.store.heat_fault_append = None
-            heat.store.heat_buffer = None
-            heat.store.heat_drain = None
+        if heat is not None and heat.store.heat is heat:
+            heat.store.heat = None
 
     def docs(self) -> list[str]:
         with self._lock:

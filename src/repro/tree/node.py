@@ -54,7 +54,6 @@ class TreeNode:
 
     __slots__ = (
         "node_id",
-        "packed_id",
         "label",
         "weight",
         "kind",
@@ -75,11 +74,6 @@ class TreeNode:
         if weight < 1:
             raise TreeError(f"node weight must be a positive integer, got {weight!r}")
         self.node_id = node_id
-        # precomputed high half of telemetry.heat.pack_hop(node_id, _):
-        # the navigation hot path ORs the target id straight in, avoiding
-        # a per-hop shift (and its int allocation). Anything that remaps
-        # node_id (see storage.reconstruct) must refresh this too.
-        self.packed_id = node_id << 32
         self.label = label
         self.weight = int(weight)
         self.kind = kind

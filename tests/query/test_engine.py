@@ -1,9 +1,13 @@
 """Query engine semantics against a hand-checked document."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.partition import get_algorithm
 from repro.partition.interval import Partitioning
-from repro.query import evaluate, run_query
+from repro.query import XPATHMARK_QUERIES, evaluate, run_query
 from repro.storage import DocumentStore
 from repro.xmlio import parse_tree
 
@@ -128,6 +132,37 @@ class TestMeasurement:
         first = run_query(store, "//keyword")
         second = run_query(store, "//keyword")
         assert first.intra_steps == second.intra_steps
+
+    def test_concurrent_runs_on_one_store_count_apart(self, tiny_xmark):
+        """Four threads query one unindexed, warmed store at once, with
+        the interpreter switching threads as often as it can: every run
+        must measure exactly what it measures alone. (The buffer holds
+        the whole document, so no run's page faults depend on another.)"""
+        store = DocumentStore.build(
+            tiny_xmark, get_algorithm("ekm").partition(tiny_xmark, 256)
+        )
+        store.warm_up()
+        xpaths = [query.xpath for query in XPATHMARK_QUERIES]
+        solo = {xpath: run_query(store, xpath) for xpath in xpaths}
+        runs = []
+
+        def worker():
+            for _ in range(2):
+                runs.extend(run_query(store, xpath) for xpath in xpaths)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == 4 * 2 * len(xpaths)
+        diverged = [run.xpath for run in runs if run != solo[run.xpath]]
+        assert not diverged, f"{len(diverged)} of {len(runs)} runs: {sorted(set(diverged))}"
 
     def test_wildcard_matches_elements_only(self, store):
         from repro.tree.node import NodeKind

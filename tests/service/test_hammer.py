@@ -89,9 +89,12 @@ class TestConcurrentMixedLoad:
         assert counters["service.documents.ingested"] == THREADS + 1
         assert counters.get("service.errors.internal", 0) == 0
 
-    def test_interleaved_queries_still_serialize_per_document(self, server):
-        # two documents queried from many threads at once: per-entry stats
-        # latches keep each document's measurements self-consistent
+    def test_interleaved_index_answered_queries_agree(self, server):
+        # two documents queried from many threads at once: every run must
+        # report the same measurements for its document. The service
+        # indexes what it ingests, so //keyword is answered by window
+        # steps and makes no hops; per-run hop counts under concurrency
+        # are pinned by tests/query/test_engine.py instead
         with ServiceClient(port=server.port) as setup:
             setup.ingest(SAMPLE_XML, doc_id="left")
             setup.ingest(SAMPLE_XML.replace("person", "robot"), doc_id="right")

@@ -74,7 +74,7 @@ class TestStructure:
         ]
         tree_walk = [
             (n.node_id, n.label, n.record_id)
-            for n in store.root().descendants_or_self()
+            for n in store.navigator().root().descendants_or_self()
         ]
         assert record_walk == tree_walk
 
@@ -88,19 +88,17 @@ class TestCostEquivalence:
         store = DocumentStore.build(tiny_xmark, partitioning)
         store.warm_up()
         nav = RecordNavigator(store)
-        store.stats.reset()
-        nav.stats.reset()
+        tree_nav = store.navigator()
         for _ in nav.root().descendants_or_self():
             pass
-        for _ in store.root().descendants_or_self():
+        for _ in tree_nav.root().descendants_or_self():
             pass
-        assert nav.stats.intra_steps == store.stats.intra_steps
-        assert nav.stats.cross_steps == store.stats.cross_steps
-        assert nav.stats.node_visits == store.stats.node_visits
+        assert nav.stats.intra_steps == tree_nav.stats.intra_steps
+        assert nav.stats.cross_steps == tree_nav.stats.cross_steps
+        assert nav.stats.node_visits == tree_nav.stats.node_visits
 
     def test_cross_steps_counted(self):
         store, nav = build([(0, 0), (4, 4)])
-        nav.stats.reset()
         for _ in nav.root().descendants_or_self():
             pass
         # entering c's record and leaving it again
@@ -117,12 +115,11 @@ class TestRecordBackedQueries:
             tiny_xmark, get_algorithm("ekm").partition(tiny_xmark, 256)
         )
         store.warm_up()
-        nav = RecordNavigator(store)
         for query in XPATHMARK_QUERIES:
-            store.stats.reset()
-            tree_result = [n.node_id for n in evaluate(store, query.xpath)]
-            tree_steps = (store.stats.intra_steps, store.stats.cross_steps)
-            nav.stats.reset()
+            tree_nav = store.navigator()
+            tree_result = [n.node_id for n in evaluate(tree_nav, query.xpath)]
+            tree_steps = (tree_nav.stats.intra_steps, tree_nav.stats.cross_steps)
+            nav = RecordNavigator(store)
             record_result = [n.node_id for n in evaluate(nav, query.xpath)]
             record_steps = (nav.stats.intra_steps, nav.stats.cross_steps)
             assert record_result == tree_result, query.qid
@@ -151,6 +148,7 @@ class TestErrors:
             labels = store.labels
             manager = store.manager
             buffer = store.buffer
+            heat = None
 
             def fetch_record(self, rid):
                 rec = store.fetch_record(rid)

@@ -11,7 +11,7 @@ from repro.datasets import (
 )
 from repro.partition import get_algorithm
 from repro.partition.interval import Partitioning
-from repro.storage import DocumentStore, StorageConfig
+from repro.storage import DocumentStore, NavigationStats, StorageConfig
 from repro.tree.builders import tree_from_spec
 from repro.xmlio import parse_tree
 from tests.storage.oracles import assert_pages_match_scan
@@ -64,38 +64,39 @@ class TestNavigationCosts:
     def test_intra_step_cost(self):
         store = build_store([(0, 0)])  # everything in one record
         store.warm_up()
-        root = store.root()
-        child = root.first_child()
+        nav = store.navigator()
+        child = nav.root().first_child()
         assert child.label == "b"
-        assert store.stats.intra_steps == 1
-        assert store.stats.cross_steps == 0
-        assert store.simulated_cost() == store.config.intra_cost
+        assert nav.stats.intra_steps == 1
+        assert nav.stats.cross_steps == 0
+        assert nav.stats.cost(store.config) == store.config.intra_cost
 
     def test_cross_step_cost(self):
         store = build_store([(0, 0), (1, 1)])  # b in its own record
         store.warm_up()
-        root = store.root()
-        root.first_child()
-        assert store.stats.cross_steps == 1
-        assert store.stats.intra_steps == 0
+        nav = store.navigator()
+        nav.root().first_child()
+        assert nav.stats.cross_steps == 1
+        assert nav.stats.intra_steps == 0
 
     def test_children_iteration_counts_each_hop(self):
         store = build_store([(0, 0)])
         store.warm_up()
-        kids = list(store.root().children())
+        nav = store.navigator()
+        kids = list(nav.root().children())
         assert [k.label for k in kids] == ["b", "c", "f"]
-        assert store.stats.intra_steps == 3  # first_child + 2 next_sibling
+        assert nav.stats.intra_steps == 3  # first_child + 2 next_sibling
 
     def test_descendants_or_self_covers_subtree(self):
         store = build_store([(0, 0)])
         store.warm_up()
-        labels = [n.label for n in store.root().descendants_or_self()]
+        labels = [n.label for n in store.navigator().root().descendants_or_self()]
         assert labels == ["a", "b", "#text", "c", "d", "e", "f"]
 
     def test_parent_and_siblings(self):
         store = build_store([(0, 0)])
         store.warm_up()
-        c = store.root().first_child().next_sibling()
+        c = store.navigator().root().first_child().next_sibling()
         assert c.label == "c"
         assert c.parent().label == "a"
         assert c.prev_sibling().label == "b"
@@ -106,17 +107,27 @@ class TestNavigationCosts:
         intervals = [(0, 0), (1, 1), (3, 3), (6, 6)]
         config = StorageConfig(buffer_pages=1, page_size=96, page_header=8)
         store = DocumentStore.build(tree, Partitioning(intervals), config)
-        for node in store.root().descendants_or_self():
+        nav = store.navigator()
+        for node in nav.root().descendants_or_self():
             pass
-        assert store.stats.page_faults > 0
-        assert store.simulated_cost() > 0
+        assert nav.stats.page_faults > 0
+        assert nav.stats.cost(store.config) > 0
 
     def test_warm_up_resets_counters(self):
         store = build_store([(0, 0), (1, 1)])
-        store.root().first_child()
+        store.navigator().root().first_child()
         store.warm_up()
-        assert store.stats.cross_steps == 0
         assert store.buffer.stats.misses == 0
+        # navigation counters are per walk: a new navigator starts at zero
+        assert store.navigator().stats == NavigationStats()
+
+    def test_walks_count_apart(self):
+        store = build_store([(0, 0), (1, 1)])
+        store.warm_up()
+        first, second = store.navigator(), store.navigator()
+        first.root().first_child()
+        assert first.stats.cross_steps == 1
+        assert second.stats == NavigationStats()
 
 
 class TestCostModelComparative:
@@ -128,9 +139,10 @@ class TestCostModelComparative:
             partitioning = get_algorithm(name).partition(tiny_xmark, 256)
             store = DocumentStore.build(tiny_xmark, partitioning)
             store.warm_up()
-            for _ in store.root().descendants_or_self():
+            nav = store.navigator()
+            for _ in nav.root().descendants_or_self():
                 pass
-            costs[name] = store.simulated_cost()
+            costs[name] = nav.stats.cost(store.config)
         assert costs["ekm"] < costs["km"]
 
 

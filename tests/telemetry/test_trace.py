@@ -381,7 +381,7 @@ class TestHeatAccumulator:
         heat.attach("d1", store)
         hot = tree.root.children[0].children[0]
         x, y = hot.children
-        store.heat_append(pack_hop(x.node_id, y.node_id))
+        store.heat.append(pack_hop(x.node_id, y.node_id))
         counts = heat.profile().edge_counts("d1")
         assert counts[(hot.node_id, x.node_id)] == 1
         assert counts[(hot.node_id, y.node_id)] == 1
@@ -392,8 +392,7 @@ class TestHeatAccumulator:
         heat.attach("d1", store)
         cold = tree.root.children[1]
         # a fault hop lands in both buffers (it is still a hop)
-        store.heat_append(pack_hop(tree.root.node_id, cold.node_id))
-        store.heat_fault_append(pack_hop(tree.root.node_id, cold.node_id))
+        store.heat.cross(pack_hop(tree.root.node_id, cold.node_id), True)
         doc = heat.profile().docs["d1"]
         assert doc.faults == 1
         target_record = store.record_of[cold.node_id]
@@ -405,17 +404,14 @@ class TestHeatAccumulator:
         heat = HeatAccumulator()
         heat.attach("d1", store)
         heat.detach("d1")
-        assert store.heat_append is None
-        assert store.heat_fault_append is None
-        assert store.heat_buffer is None
-        assert store.heat_drain is None
+        assert store.heat is None
         assert heat.profile().docs == {}
 
     def test_reattach_resets_tallies(self):
         tree, store = self._store()
         heat = HeatAccumulator()
         heat.attach("d1", store)
-        store.heat_append(pack_hop(0, 1))
+        store.heat.append(pack_hop(0, 1))
         heat.attach("d1", store)
         assert heat.profile().docs["d1"].steps == 0
 
@@ -427,7 +423,7 @@ class TestHeatAccumulator:
         tree, store = self._store()
         heat = HeatAccumulator()
         heat.attach("d1", store)
-        store.heat_append(pack_hop(0, 1))
+        store.heat.append(pack_hop(0, 1))
         payload = heat.profile().as_dict(top=1, include_edges=True)
         assert len(payload["hottest"]) == 1
         assert payload["documents"]["d1"]["edges"]

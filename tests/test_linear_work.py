@@ -10,7 +10,8 @@ compares *work*, never time:
   included, and the count does not depend on the machine;
 * **named counters** the code already keeps, or that follow from its
   data after the call: DP cells, candidate replays, encoded nodes,
-  navigation hops, index window steps, record-map runs touched.
+  navigation hops, index window steps, record-map runs touched, entries
+  a record navigator sorts.
 
 A row passes when every counter grew by at most ``(n2 / n1) * SLACK``,
 where ``n`` is what the stage's work must scale with: document nodes,
@@ -31,6 +32,7 @@ from typing import Callable
 import pytest
 
 import repro.analysis.contracts  # noqa: F401  - imported lazily by Partitioner.partition
+import repro.storage.navigator as record_navigation
 from repro import telemetry
 from repro.bulkload import BulkLoader
 from repro.datasets import random_flat_tree, random_tree, xmark_document
@@ -46,7 +48,7 @@ from repro.partition.flatdp import FlatDP
 from repro.partition.shapecache import clear_default_cache
 from repro.query.engine import run_query
 from repro.query.xpathmark import EXTENDED_QUERIES, XPATHMARK_QUERIES
-from repro.storage import DocumentStore, StorageConfig, StoreUpdater
+from repro.storage import DocumentStore, RecordNavigator, StorageConfig, StoreUpdater
 from repro.storage.reconstruct import verify_store_integrity
 from repro.tree.builders import chain_tree
 from repro.tree.node import Tree
@@ -304,6 +306,36 @@ def flush_row(step):
     }
 
 
+def sibling_walk_row(step):
+    """A record navigator walks the root's children of a flat tree, k
+    and 4k of them in EKM records. Merging a parent's in-record and
+    proxied children is a C-level ``sorted``, invisible to line events,
+    so the entries it sorts are counted by shadowing the builtin in the
+    navigator's module."""
+    tree = random_flat_tree((500, 2000)[step], seed=step)
+    store = DocumentStore.build(
+        tree, get_algorithm("ekm").partition(tree, K), StorageConfig(record_limit=K)
+    )
+    navigator = RecordNavigator(store)  # decodes every record: not the walk
+    entries = [0]
+
+    def counting_sorted(iterable, **kwargs):
+        items = list(iterable)
+        entries[0] += len(items)
+        return sorted(items, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(record_navigation, "sorted", counting_sorted, raising=False)
+        events, walked = line_events(lambda: list(navigator.root().children()))
+    assert len(walked) == len(tree) - 1
+    stats = navigator.stats
+    return len(tree) - 1, {
+        "line_events": events,
+        "sorted_entries": entries[0],
+        "hops": stats.intra_steps + stats.cross_steps,
+    }
+
+
 def serialize_row(shape: Callable[[int], Tree]) -> Row:
     def row(step):
         tree = shape((500, 2000)[step])
@@ -335,6 +367,7 @@ ROWS: dict[str, Row] = {
     "query-cycle": query_row(*QUERY_CYCLE),
     "query-//item[descendant::keyword]": query_row("//item[descendant::keyword]"),
     "flush": flush_row,
+    "RecordNavigator-siblings": sibling_walk_row,
     "tree_to_xml-depth": serialize_row(lambda depth: chain_tree([1] * depth)),
     "tree_to_xml-fanout": serialize_row(flat_tree),
 }
