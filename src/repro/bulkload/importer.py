@@ -7,12 +7,14 @@ type dispatch in between), for plain, journaled and resumed loads alike.
 ``_LoadState`` extends the parser's
 :class:`~repro.xmlio.parser.TreeBuilder` (same node-id assignment, same
 text merging and whitespace handling — tests pin this equivalence) and
-pushes every closing subtree through a streaming cut strategy
-(:mod:`repro.bulkload.strategies`). Partitions are *emitted* the moment
-they are decided; the loader tracks the resident weight a real importer
-would hold — everything parsed but not yet emitted — and reports its
-peak. :meth:`BulkLoader.load_events` is the pull adapter: it replays a
-recorded event stream into the same three methods.
+pushes every closing subtree through the cut strategy of a main-memory
+friendly heuristic (:mod:`repro.partition.streaming`, the same strategy
+``partition_tree`` drives over an in-memory tree). Partitions are
+*emitted* the moment they are decided; the loader tracks the resident
+weight a real importer would hold — everything parsed but not yet
+emitted — and reports its peak. :meth:`BulkLoader.load_events` is the
+pull adapter: it replays a recorded event stream into the same three
+methods.
 
 The spill threshold implements Sec. 4.3's memory bound: whenever the
 resident weight exceeds it, the loader forces partitions out of the open
@@ -35,14 +37,14 @@ from repro.errors import (
     XmlFormatError,
 )
 from repro.bulkload.journal import ImportJournal, JournalState, source_fingerprint
-from repro.bulkload.strategies import (
+from repro.faults import plan as faults
+from repro.partition.interval import Partitioning, SiblingInterval
+from repro.partition.streaming import (
     ChildSummary,
     Frame,
     STRATEGY_CLASSES,
     StreamStrategy,
 )
-from repro.faults import plan as faults
-from repro.partition.interval import Partitioning, SiblingInterval
 from repro.tree.node import NodeKind, Tree
 from repro.xmlio.events import ParseEvent, replay
 from repro.xmlio.parser import Source, TreeBuilder, push_parse
@@ -87,7 +89,8 @@ class BulkLoader:
         Partition weight limit ``K``.
     spill_threshold:
         Optional resident-weight bound; ``None`` disables spilling, in
-        which case the result is identical to the batch algorithm.
+        which case the result is identical to ``partition_tree`` on the
+        loaded tree.
     """
 
     def __init__(
@@ -223,7 +226,6 @@ class _LoadState(TreeBuilder):
         self.strategy: StreamStrategy = STRATEGY_CLASSES[loader.algorithm](
             loader.limit, self._emit
         )
-        self.root_summary: Optional[ChildSummary] = None
 
     # -- emission & memory accounting -------------------------------------
 
@@ -361,7 +363,7 @@ class _LoadState(TreeBuilder):
         if frames:
             frames[-1].children.append(summary)
         else:
-            self.root_summary = summary
+            self.strategy.finish(summary)
         if self.spill_threshold is not None:
             self._spill()
 
@@ -369,15 +371,6 @@ class _LoadState(TreeBuilder):
 
     def complete(self) -> ImportResult:
         tree = self.finish()
-        summary = self.root_summary
-        assert summary is not None
-        # EKM: the root's own binary residual check happens here, because
-        # the root has no parent-close to do it (see strategies module).
-        if summary.own_weight + summary.res_first > self.limit and summary.res_first:
-            self._emit(
-                SiblingInterval(summary.first_child, summary.first_chain_end),
-                summary.res_first,
-            )
         self.intervals.append(SiblingInterval(0, 0))
         self.resident = max(0, self.resident)
         # The finalize fault point fires *before* the commit record: a

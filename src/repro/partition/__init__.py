@@ -6,9 +6,11 @@ Public surface:
   :class:`~repro.partition.interval.Partitioning` — the result model.
 * :mod:`repro.partition.evaluate` — validation, feasibility and the
   partition-forest weight evaluator shared by every algorithm and test.
-* One module per algorithm (``fdw``, ``ghdw``, ``dhw``, ``km``, ``ekm``,
-  ``rs``, ``dfs``, ``bfs``, ``brute``, ``lukes``, ``binpack``), each
-  registering itself in :data:`~repro.partition.base.ALGORITHMS`.
+* One module per algorithm (``fdw``, ``ghdw``, ``dhw``, ``dfs``, ``bfs``,
+  ``brute``, ``lukes``, ``binpack``), each registering itself in
+  :data:`~repro.partition.base.ALGORITHMS`; :mod:`~repro.partition.streaming`
+  registers the three main-memory friendly heuristics ``km``, ``ekm`` and
+  ``rs``, whose cut strategies the bulkloader drives as well.
 * :mod:`repro.partition.fallback` — the graceful-degradation chain
   (``fallback``): tries ``dhw``, then ``ghdw``, then ``dfs``.
 """
@@ -34,9 +36,7 @@ from repro.partition.base import (
 from repro.partition import fdw as _fdw  # noqa: F401
 from repro.partition import ghdw as _ghdw  # noqa: F401
 from repro.partition import dhw as _dhw  # noqa: F401
-from repro.partition import km as _km  # noqa: F401
-from repro.partition import ekm as _ekm  # noqa: F401
-from repro.partition import rs as _rs  # noqa: F401
+from repro.partition import streaming as _streaming  # noqa: F401
 from repro.partition import dfs as _dfs  # noqa: F401
 from repro.partition import bfs as _bfs  # noqa: F401
 from repro.partition import brute as _brute  # noqa: F401
@@ -47,9 +47,7 @@ from repro.partition import fallback as _fallback  # noqa: F401
 from repro.partition.fdw import FDWPartitioner, fdw_partition_flat
 from repro.partition.ghdw import GHDWPartitioner
 from repro.partition.dhw import DHWPartitioner
-from repro.partition.km import KMPartitioner
-from repro.partition.ekm import EKMPartitioner
-from repro.partition.rs import RSPartitioner
+from repro.partition.streaming import EKMPartitioner, KMPartitioner, RSPartitioner
 from repro.partition.dfs import DFSPartitioner
 from repro.partition.bfs import BFSPartitioner
 from repro.partition.brute import BruteForcePartitioner, enumerate_partitionings

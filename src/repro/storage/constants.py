@@ -36,9 +36,6 @@ class StorageConfig:
     page_slot_entry: int = 4
     #: fixed per-record header bytes (id, fragment root count, …)
     record_header: int = 16
-    #: page allocation policy: "first_fit" (Natix-style, fast) or
-    #: "best_fit" (min leftover space; packs marginally tighter)
-    allocation_policy: str = "first_fit"
 
     @property
     def record_capacity_bytes(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import telemetry
-from repro.errors import StorageError
 from repro.faults import plan as faults
 from repro.storage.constants import StorageConfig
 from repro.storage.page import Page
@@ -72,19 +71,11 @@ class RecordManager:
         return page.page_id
 
     def _find_page(self, blob: bytes):
-        policy = self.config.allocation_policy
-        if policy == "first_fit":
-            for page in self.pages.values():
-                if page.fits(blob):
-                    return page
-            return None
-        if policy == "best_fit":
-            best = None
-            for page in self.pages.values():
-                if page.fits(blob) and (best is None or page.free_bytes < best.free_bytes):
-                    best = page
-            return best
-        raise StorageError(f"unknown allocation policy {policy!r}")
+        """First fit: the earliest page with room for ``blob``."""
+        for page in self.pages.values():
+            if page.fits(blob):
+                return page
+        return None
 
     def replace(self, record_id: int, blob: bytes) -> int:
         """Rewrite a record after an update; may migrate it to another

@@ -3,20 +3,12 @@
 The central classes are :class:`~repro.tree.node.TreeNode` and
 :class:`~repro.tree.node.Tree`. Trees are rooted and ordered; every node
 carries a positive integer weight. Traversal helpers are iterative (no
-recursion limits), and :mod:`repro.tree.binary` exposes the left-child /
-right-sibling (binary) view used by the EKM algorithm.
+recursion limits).
 """
 
 from repro.tree.node import Tree, TreeNode, NodeKind
 from repro.tree.builders import build_tree, flat_tree, tree_from_spec, spec_from_tree
 from repro.tree.traversal import iter_preorder, iter_postorder, iter_levelorder
-from repro.tree.binary import (
-    binary_children,
-    binary_parent,
-    first_child,
-    next_sibling,
-    iter_binary_postorder,
-)
 from repro.tree.measure import (
     TreeStats,
     subtree_weights,
@@ -36,11 +28,6 @@ __all__ = [
     "iter_preorder",
     "iter_postorder",
     "iter_levelorder",
-    "binary_children",
-    "binary_parent",
-    "first_child",
-    "next_sibling",
-    "iter_binary_postorder",
     "TreeStats",
     "subtree_weights",
     "tree_stats",

@@ -4,10 +4,11 @@ import pytest
 
 from repro.bulkload import BulkLoader, STREAMING_STRATEGIES, bulk_import
 from repro.errors import InfeasiblePartitioningError, ReproError, XmlFormatError
-from repro.partition import evaluate_partitioning, get_algorithm
+from repro.partition import evaluate_partitioning
 from repro.xmlio import parse_tree, tree_to_xml
 
 from tests.conftest import tree_signature
+from tests.partition.oracles import HEURISTIC_ORACLES
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ class TestBatchEquivalence:
     def test_no_spill_equals_batch(self, corpus_xml, tiny_corpus, algorithm):
         for name, xml in corpus_xml.items():
             result = bulk_import(xml, algorithm=algorithm, limit=256)
-            batch = get_algorithm(algorithm).partition(tiny_corpus[name], 256)
+            batch = HEURISTIC_ORACLES[algorithm]().partition(tiny_corpus[name], 256)
             assert result.partitioning == batch, (name, algorithm)
 
     @pytest.mark.parametrize("limit", [32, 64, 256])
@@ -51,7 +52,7 @@ class TestBatchEquivalence:
         tree = tiny_corpus["SigmodRecord.xml"]
         for algorithm in STREAMING_STRATEGIES:
             result = bulk_import(xml, algorithm=algorithm, limit=limit)
-            batch = get_algorithm(algorithm).partition(tree, limit)
+            batch = HEURISTIC_ORACLES[algorithm]().partition(tree, limit)
             assert result.partitioning == batch
 
 

@@ -160,7 +160,7 @@ class TestErrorsSurfaceUnchanged:
                     BulkLoader("ekm", 16).load(DOC)
 
     def test_value_error_from_loader_code(self, monkeypatch):
-        from repro.bulkload.strategies import EKMStreamStrategy
+        from repro.partition.streaming import EKMStreamStrategy
 
         def broken_close(self, frame):
             raise ValueError("strategy bug")

@@ -7,9 +7,11 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.bulkload import bulk_import
-from repro.partition import evaluate_partitioning, get_algorithm
+from repro.partition import evaluate_partitioning
 from repro.tree.node import NodeKind, Tree
 from repro.xmlio import parse_tree, tree_to_xml
+
+from tests.partition.oracles import HEURISTIC_ORACLES
 
 _NAMES = ("a", "b", "item", "x_1", "long-name")
 _TEXTS = ("", "t", "some text", "x" * 30, "ümläut <&> text")
@@ -80,7 +82,7 @@ class TestPipelineProperties:
         text = tree_to_xml(tree)
         limit = max(16, tree.max_node_weight())
         result = bulk_import(text, algorithm=algorithm, limit=limit)
-        batch = get_algorithm(algorithm).partition(result.tree, limit)
+        batch = HEURISTIC_ORACLES[algorithm]().partition(result.tree, limit)
         assert result.partitioning == batch
         report = evaluate_partitioning(result.tree, result.partitioning, limit)
         assert report.feasible

@@ -4,8 +4,10 @@ degradation, and — crucially — feasibility in every configuration."""
 import pytest
 
 from repro.bulkload import BulkLoader, STREAMING_STRATEGIES, bulk_import
-from repro.partition import evaluate_partitioning, get_algorithm
+from repro.partition import evaluate_partitioning
 from repro.xmlio import tree_to_xml
+
+from tests.partition.oracles import ReferenceKM
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +84,7 @@ class TestQualityTrade:
         from repro.xmlio import parse_tree
 
         tree = parse_tree(nested_xml)
-        assert result.partitioning == get_algorithm("km").partition(tree, 256)
+        assert result.partitioning == ReferenceKM().partition(tree, 256)
 
     def test_spill_counters_reported(self, star_xml):
         result = bulk_import(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bulkload.strategies import (
+from repro.partition.streaming import (
     ChildSummary,
     EKMStreamStrategy,
     Frame,

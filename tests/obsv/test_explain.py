@@ -9,7 +9,7 @@ import pytest
 from repro.obsv import explain_partition, explain_scope, format_diff, format_explain
 from repro.obsv import explain as explain_mod
 from repro.partition import available_algorithms, get_algorithm
-from repro.tree.builders import tree_from_spec
+from repro.tree.builders import flat_tree, tree_from_spec
 
 from tests.conftest import FIG3_SPEC, FIG6_SPEC
 
@@ -66,6 +66,19 @@ class TestCollection:
         assert kind in kinds, kinds
         # every partition is attributed: its own decision or the root fallback
         assert sum(kinds.values()) == explain.cardinality
+
+    def test_ekm_root_cut_is_attributed(self):
+        # the root's first-child chain is cut after the root closes, by
+        # the EKM strategy's finish step — which must record it too
+        explain = explain_partition(flat_tree(4, [2]), 5, "ekm")
+        decisions = {e.interval: e.decision for e in explain.entries}
+        assert decisions[(1, 1)].kind == "ekm-cut"
+        assert decisions[(1, 1)].detail == {
+            "parent": 0,
+            "edge": "first-child",
+            "cut_weight": 2,
+            "rest": 4,
+        }
 
     def test_result_is_identical_with_and_without_explaining(self, fig3_tree):
         for name in ("ekm", "dhw", "ghdw", "rs"):

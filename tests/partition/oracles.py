@@ -1,14 +1,20 @@
-"""Legible reference implementations of FDW / GHDW / DHW (test oracles).
+"""Legible reference implementations (test oracles).
 
-These are the per-node, object-graph versions of the paper's Fig. 4/5/7
-that production ran before the flat-array kernel became the only path:
-one :class:`ReferenceFlatDP` per inner node, a postorder walk over
-``TreeNode`` objects, and the Lemma-2 candidate scan recomputed for every
-cell. They are slow and easy to read, which is the point — beside
+FDW / GHDW / DHW: the per-node, object-graph versions of the paper's
+Fig. 4/5/7 that production ran before the flat-array kernel became the
+only path: one :class:`ReferenceFlatDP` per inner node, a postorder walk
+over ``TreeNode`` objects, and the Lemma-2 candidate scan recomputed for
+every cell. They are slow and easy to read, which is the point — beside
 :mod:`repro.partition.brute` they are what the kernel in
 ``src/repro/partition`` is pinned against (``test_equivalence.py``,
 ``test_activation.py``): same partitionings interval for interval, same
 ``Decision`` provenance, same nearly-optimal statistics.
+
+KM / RS / EKM: the batch loops production ran before the heuristics
+became cut strategies (:mod:`repro.partition.streaming`) — a postorder
+walk with a residual per node id, and for EKM a walk over the
+left-child / right-sibling binary view. Both ``partition_tree`` and
+unspilled bulkloader imports are pinned against them.
 
 The classes are *not* registered in ``ALGORITHMS``; they reuse the
 production names so ``Partitioner.partition`` wraps them identically
@@ -17,7 +23,7 @@ production names so ``Partitioner.partition`` wraps them identically
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import InfeasiblePartitioningError, TreeError
 from repro.obsv import explain
@@ -33,7 +39,7 @@ from repro.partition.flatdp import (
 )
 from repro.partition.ghdw import GHDWStats
 from repro.partition.interval import Partitioning, SiblingInterval
-from repro.tree.node import Tree
+from repro.tree.node import Tree, TreeNode
 from repro.tree.traversal import iter_postorder
 
 
@@ -364,3 +370,173 @@ class ReferenceDHW(Partitioner):
             for idx, child in enumerate(node.children):
                 stack.append((child.node_id, idx in near_children))
         return intervals
+
+
+class ReferenceKM(Partitioner):
+    """Sec. 4.3.3: cut the heaviest child subtree until the residual fits."""
+
+    name = "km"
+    main_memory_friendly = True
+
+    def _partition(self, tree: Tree, limit: int) -> Partitioning:
+        residual = [0] * len(tree)
+        intervals = {SiblingInterval(tree.root.node_id, tree.root.node_id)}
+        for node in iter_postorder(tree):
+            rest = node.weight + sum(residual[c.node_id] for c in node.children)
+            if rest > limit:
+                # Cut heaviest children first; ties resolved left-to-right
+                # for determinism.
+                by_weight = sorted(
+                    node.children, key=lambda c: (-residual[c.node_id], c.index)
+                )
+                for child in by_weight:
+                    if rest <= limit:
+                        break
+                    intervals.add(SiblingInterval(child.node_id, child.node_id))
+                    rest -= residual[child.node_id]
+                    if explain.explaining():
+                        explain.decision(
+                            child.node_id,
+                            "km-cut",
+                            parent=node.node_id,
+                            cut_weight=residual[child.node_id],
+                            rest=rest,
+                            considered=len(by_weight),
+                        )
+            residual[node.node_id] = rest
+        return Partitioning(intervals)
+
+
+class ReferenceRS(Partitioner):
+    """Sec. 4.3.2: pack maximal rightmost sibling runs until the residual
+    fits."""
+
+    name = "rs"
+    main_memory_friendly = True
+
+    def _partition(self, tree: Tree, limit: int) -> Partitioning:
+        residual = [0] * len(tree)
+        intervals = {SiblingInterval(tree.root.node_id, tree.root.node_id)}
+        for node in iter_postorder(tree):
+            rest = node.weight + sum(residual[c.node_id] for c in node.children)
+            right = len(node.children) - 1  # rightmost not-yet-cut child
+            while rest > limit:
+                # Start a new partition at the rightmost remaining child
+                # and extend it leftward while the next sibling fits.
+                end = right
+                weight = residual[node.children[end].node_id]
+                rest -= weight
+                begin = end
+                while (
+                    rest > limit
+                    and begin > 0
+                    and weight + residual[node.children[begin - 1].node_id] <= limit
+                ):
+                    begin -= 1
+                    w = residual[node.children[begin].node_id]
+                    weight += w
+                    rest -= w
+                intervals.add(
+                    SiblingInterval(
+                        node.children[begin].node_id, node.children[end].node_id
+                    )
+                )
+                if explain.explaining():
+                    explain.decision(
+                        node.children[begin].node_id,
+                        "rs-pack",
+                        parent=node.node_id,
+                        run=end - begin + 1,
+                        run_weight=weight,
+                        rest=rest,
+                    )
+                right = begin - 1
+            residual[node.node_id] = rest
+        return Partitioning(intervals)
+
+
+def _first_child(node: TreeNode) -> Optional[TreeNode]:
+    """Left binary child: the first n-ary child, if any."""
+    return node.children[0] if node.children else None
+
+
+def _lcrs_postorder(tree: Tree) -> Iterator[TreeNode]:
+    """Postorder of the left-child / right-sibling binary view (first
+    child's binary subtree, next sibling's, then the node)."""
+    stack: list[tuple[TreeNode, bool]] = [(tree.root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        else:
+            stack.append((node, True))
+            rs = node.next_sibling()
+            if rs is not None:
+                stack.append((rs, False))
+            lc = _first_child(node)
+            if lc is not None:
+                stack.append((lc, False))
+
+
+class ReferenceEKM(Partitioner):
+    """Sec. 4.3.4: Kundu-Misra cuts on the binary view."""
+
+    name = "ekm"
+    main_memory_friendly = True
+
+    def _partition(self, tree: Tree, limit: int) -> Partitioning:
+        n = len(tree)
+        residual = [0] * n
+        cut = bytearray(n)  # 1 where the node's binary parent edge is cut
+        for node in _lcrs_postorder(tree):
+            rest = node.weight
+            kids = []
+            lc = _first_child(node)
+            if lc is not None:
+                kids.append(lc)
+                rest += residual[lc.node_id]
+            rs = node.next_sibling()
+            if rs is not None:
+                kids.append(rs)
+                rest += residual[rs.node_id]
+            while rest > limit and kids:
+                # Cut the heavier binary child (the paper's Fig. 8 walk);
+                # ties go to the left (first-child) edge for determinism.
+                heaviest = max(kids, key=lambda k: residual[k.node_id])
+                cut[heaviest.node_id] = 1
+                rest -= residual[heaviest.node_id]
+                kids.remove(heaviest)
+                if explain.explaining():
+                    explain.decision(
+                        heaviest.node_id,
+                        "ekm-cut",
+                        parent=node.node_id,
+                        edge="first-child" if heaviest is lc else "next-sibling",
+                        cut_weight=residual[heaviest.node_id],
+                        rest=rest,
+                    )
+            residual[node.node_id] = rest
+        cut[tree.root.node_id] = 1
+
+        # Each cut node roots a component; its interval extends through
+        # consecutive right siblings whose own binary parent edge is uncut.
+        intervals = set()
+        for node in tree:
+            if not cut[node.node_id]:
+                continue
+            end = node
+            while True:
+                sib = end.next_sibling()
+                if sib is None or cut[sib.node_id]:
+                    break
+                end = sib
+            intervals.add(SiblingInterval(node.node_id, end.node_id))
+        return Partitioning(intervals)
+
+
+#: the batch oracle of each main-memory friendly heuristic, by name
+HEURISTIC_ORACLES: dict[str, type[Partitioner]] = {
+    "km": ReferenceKM,
+    "rs": ReferenceRS,
+    "ekm": ReferenceEKM,
+}

@@ -8,7 +8,9 @@ partitionings — interval sets, not just cardinalities — are equal.
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.datasets.random_trees import (
     duplicated_subtree_tree,
@@ -18,13 +20,22 @@ from repro.datasets.random_trees import (
     star_tree,
 )
 from repro.errors import TreeError
+from repro.obsv.explain import explain_scope
+from repro.partition import get_algorithm
 from repro.partition.dhw import DHWPartitioner, dhw_partition
 from repro.partition.fdw import FDWPartitioner, fdw_partition_flat
 from repro.partition.ghdw import GHDWPartitioner, ghdw_partition
 from repro.partition.shapecache import ShapeCache
 from repro.tree.builders import chain_tree, flat_tree, tree_from_spec
+from repro.tree.node import Tree
 
-from tests.partition.oracles import ReferenceDHW, ReferenceFDW, ReferenceGHDW
+from tests.bulkload.test_roundtrip_properties import xml_documents
+from tests.partition.oracles import (
+    HEURISTIC_ORACLES,
+    ReferenceDHW,
+    ReferenceFDW,
+    ReferenceGHDW,
+)
 
 ORACLES = {
     DHWPartitioner: ReferenceDHW,
@@ -129,6 +140,50 @@ class TestShapes:
         for cls in (DHWPartitioner, GHDWPartitioner):
             reference, fast = both(cls, tree, 23)
             assert fast == reference
+
+
+@st.composite
+def inserted_trees(draw, max_nodes: int = 40):
+    """A random tree grown by ``insert_child`` at random sibling
+    positions, so sibling order is not node-id order."""
+    tree = Tree("n0", draw(st.integers(1, 5)))
+    for i in range(1, draw(st.integers(1, max_nodes))):
+        parent = tree.nodes[draw(st.integers(0, len(tree) - 1))]
+        position = draw(st.integers(0, len(parent.children)))
+        tree.insert_child(parent, position, f"n{i}", draw(st.integers(1, 5)))
+    return tree
+
+
+def explained(partitioner, tree, limit):
+    """The checked partitioning of ``tree`` and its per-partition
+    decisions."""
+    with explain_scope() as collector:
+        result = partitioner.partition(tree, limit, check=True)
+    entries = collector.explain_for(partitioner.name).entries
+    return result, [(e.interval, e.decision) for e in entries]
+
+
+class TestHeuristicsEqualBatchOracles:
+    """The registered KM / RS / EKM (what ``partition_tree`` runs) close
+    the cut strategies' frames in descending node-id order; the result
+    and its provenance must equal the batch postorder loops whatever the
+    creation order."""
+
+    @staticmethod
+    def check(tree, limit):
+        for name, oracle in HEURISTIC_ORACLES.items():
+            actual = explained(get_algorithm(name), tree, limit)
+            assert actual == explained(oracle(), tree, limit), f"{name} (K={limit})"
+
+    @settings(max_examples=60, deadline=None)
+    @given(inserted_trees(), st.integers(5, 20))
+    def test_sibling_order_is_not_id_order(self, tree, limit):
+        self.check(tree, limit)
+
+    @settings(max_examples=40, deadline=None)
+    @given(xml_documents(), st.integers(0, 48))
+    def test_creation_order_is_not_document_order(self, tree, extra):
+        self.check(tree, tree.max_node_weight() + extra)
 
 
 class TestCacheBehaviour:

@@ -1,49 +1,21 @@
-"""Allocation policy tests (first-fit vs best-fit) and Sec. 3.3.6 DHW
-optimization equivalence."""
+"""Page allocation (first fit) and Sec. 3.3.6 DHW optimization
+equivalence."""
 
-import pytest
-
-from repro.errors import StorageError
 from repro.storage.constants import StorageConfig
 from repro.storage.manager import RecordManager
 
 
-def config(policy):
-    return StorageConfig(
-        page_size=128, page_header=8, page_slot_entry=0, allocation_policy=policy
-    )
+def config():
+    return StorageConfig(page_size=128, page_header=8, page_slot_entry=0)
 
 
 class TestAllocationPolicies:
-    def test_best_fit_prefers_fullest_page(self):
-        manager = RecordManager(config("best_fit"))
-        manager.store(0, b"x" * 100)  # page 0: 20 free
-        manager.store(1, b"x" * 60)  # page 1: 60 free
-        manager.store(2, b"x" * 15)  # best fit -> page 0
-        assert manager.page_of_record[2] == 0
-
     def test_first_fit_takes_earliest(self):
-        manager = RecordManager(config("first_fit"))
+        manager = RecordManager(config())
         manager.store(0, b"x" * 60)  # page 0: 60 free
         manager.store(1, b"x" * 100)  # page 1: 20 free
         manager.store(2, b"x" * 15)  # first fit -> page 0
         assert manager.page_of_record[2] == 0
-
-    def test_best_fit_never_uses_more_pages_here(self):
-        blobs = [100, 60, 15, 50, 40, 70, 10, 5, 110, 30]
-        managers = {p: RecordManager(config(p)) for p in ("first_fit", "best_fit")}
-        for policy, manager in managers.items():
-            for i, size in enumerate(blobs):
-                manager.store(i, b"x" * size)
-        assert (
-            managers["best_fit"].space_report().pages
-            <= managers["first_fit"].space_report().pages
-        )
-
-    def test_unknown_policy_rejected(self):
-        manager = RecordManager(config("random_fit"))
-        with pytest.raises(StorageError):
-            manager.store(0, b"x")
 
 
 class TestDHWEndpointOptimization:
