@@ -7,6 +7,7 @@
 #   make faults-smoke # small fault-injection matrix (crash/bitflip/torn)
 #   make chaos-smoke  # WAL crash-matrix slice: kill update flushes, recover, diff
 #   make service-smoke# boot the document-store service and exercise every endpoint
+#   make examples     # run every script under examples/ to completion
 #
 # ruff and mypy are optional deep-net linters (pyproject [lint] extra);
 # verify skips them with a notice when the environment lacks them, so
@@ -16,9 +17,9 @@ export PYTHONPATH := src
 
 PYTHON ?= python
 
-.PHONY: verify lint test bench faults-smoke chaos-smoke service-smoke
+.PHONY: verify lint test bench faults-smoke chaos-smoke service-smoke examples
 
-verify: lint test bench faults-smoke chaos-smoke service-smoke
+verify: lint test bench faults-smoke chaos-smoke service-smoke examples
 	@echo "verify: OK"
 
 lint:
@@ -54,3 +55,12 @@ chaos-smoke:
 
 service-smoke:
 	$(PYTHON) -m repro.service.smoke
+
+# The user-facing scripts (quickstart, import, updates, recovery, query
+# performance, ...): each must run to a zero exit. Kept out of tier-1;
+# they print rather than assert.
+examples:
+	@for script in examples/*.py; do \
+		echo "examples: $$script"; \
+		$(PYTHON) $$script > /dev/null || exit 1; \
+	done

@@ -19,8 +19,8 @@ syntactically, so cycle reports stay actionable:
 * any other attribute call (duck-typed receiver) is *not* linked. This is
   the classic soundness/precision trade: linking every method of the same
   name would flag delegating wrappers such as
-  ``store.StoredNode.descendants_or_self`` calling another handle's
-  ``descendants_or_self`` as fake recursion.
+  ``store.DocumentStore.warm_up`` calling its buffer pool's ``warm_up``
+  as fake recursion.
 
 Two stack-safety facts are recorded per edge so the recursion pass can
 exempt them:

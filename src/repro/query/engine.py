@@ -4,10 +4,12 @@ Each evaluation walks through one navigator
 (:class:`~repro.storage.store.Navigator`), which owns the walk's
 counters. A store with a valid structural index answers each location
 step once for its whole context list, on node ids, and charges the cost
-model for the records the step decodes. Without one, context nodes are
-expanded axis by axis through handle hops (first-child / next-sibling /
-parent), as Natix' navigational query processor does; both paths return
-identical node lists.
+model for the records the step decodes. Without one, each context node
+is expanded by the navigator's walk for the step's axis: node ids,
+reached hop by hop (first-child / next-sibling / parent) as Natix'
+navigational query processor does, every hop charged. Both paths return
+identical node lists, and both test nodes on their ids: handles are made
+only for the nodes a step matches.
 
 Results are duplicate-free and in document order. Supported beyond the
 paper's Table 3 needs: the attribute axis (attributes are modelled as
@@ -37,65 +39,8 @@ from repro.query.ast import (
 )
 from repro.query.parser import parse_xpath
 from repro.storage.constants import StorageConfig
-from repro.storage.store import DocumentStore, Navigator, StoredNode
+from repro.storage.store import DocumentStore, Navigator, NodeHandle
 from repro.tree.node import NodeKind
-
-
-def _matches(node: StoredNode, test: NodeTest) -> bool:
-    if test.kind is NodeTestKind.ANY:
-        return True
-    if test.kind is NodeTestKind.TEXT:
-        return node.kind is NodeKind.TEXT
-    if test.kind is NodeTestKind.ATTRIBUTE:
-        return node.kind is NodeKind.ATTRIBUTE and (
-            test.name == STAR or node.label == test.name
-        )
-    return node.is_element() and (test.name == STAR or node.label == test.name)
-
-
-def _axis_nodes(context: StoredNode, axis: Axis):
-    """Generate the axis population for one context node (all hops are
-    charged to its navigator). Order is proximity order for reverse
-    axes, document order otherwise."""
-    if axis is Axis.CHILD:
-        yield from context.children()
-    elif axis is Axis.ATTRIBUTE:
-        # attributes are the leading children of an element
-        for child in context.children():
-            if child.kind is not NodeKind.ATTRIBUTE:
-                break
-            yield child
-    elif axis is Axis.SELF:
-        yield context
-    elif axis is Axis.DESCENDANT:
-        walker = context.descendants_or_self()
-        next(walker)  # drop self
-        yield from walker
-    elif axis is Axis.DESCENDANT_OR_SELF:
-        yield from context.descendants_or_self()
-    elif axis is Axis.PARENT:
-        parent = context.parent()
-        if parent is not None:
-            yield parent
-    elif axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
-        if axis is Axis.ANCESTOR_OR_SELF:
-            yield context
-        node = context.parent()
-        while node is not None:
-            yield node
-            node = node.parent()
-    elif axis is Axis.FOLLOWING_SIBLING:
-        node = context.next_sibling()
-        while node is not None:
-            yield node
-            node = node.next_sibling()
-    elif axis is Axis.PRECEDING_SIBLING:
-        node = context.prev_sibling()
-        while node is not None:
-            yield node
-            node = node.prev_sibling()
-    else:  # pragma: no cover - exhaustive enum
-        raise QueryEvaluationError(f"unsupported axis {axis}")
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +52,8 @@ def _axis_nodes(context: StoredNode, axis: Axis):
 # preorder windows (contexts nested in a kept window are skipped; a
 # named test is one bisect pair per window over the label's postings),
 # ancestor axes as a parent-column climb that stops at the first node
-# already collected, the other axes as CSR slices. Handles are made once
-# per step, from the merged result. The cost model is charged once per
-# step as well: one buffer fetch per page holding a record the step
+# already collected, the other axes as CSR slices. The cost model is
+# charged once per step: one buffer fetch per page holding a record the step
 # decodes — exactly the records holding a node of its windows
 # (descendant) or of its climb (ancestor); the others are *pruned*,
 # counted in NavigationStats.partitions_pruned — and the result's
@@ -146,8 +90,8 @@ def _usable_index(store):
 
 
 def _filter_ids(index, ids, test: NodeTest) -> list[int]:
-    """Column-wise node-test filter: mirrors `_matches` over the index's
-    kind/label columns without materializing handles."""
+    """Column-wise node-test filter: `_test_ids` over the index's
+    kind/label columns."""
     if test.kind is NodeTestKind.ANY:
         return list(ids)
     kind_of = index.kind_of
@@ -179,7 +123,7 @@ def _window_test_ids(index, windows, test: NodeTest) -> list[int]:
 
 #: ``(index, node id) -> ids``: one stored node's unfiltered population on
 #: a non-descendant axis, in axis order (proximity order for reverse
-#: axes, like `_axis_nodes`)
+#: axes, like the navigator's walks)
 _POPULATION = {
     Axis.CHILD: lambda index, nid: index.children_of(nid),
     Axis.ATTRIBUTE: lambda index, nid: index.attributes_of(nid),
@@ -196,13 +140,14 @@ _POPULATION = {
 
 def _index_step(index, contexts, step: Step, positions):
     """Answer one location step for the whole context list (document
-    order, duplicate-free) from the structural index: handles of the
-    step's result before boolean predicates, in document order and
-    duplicate-free. Without positional predicates the contexts are
-    merged into one group; with them every context keeps its own group,
-    in axis order, for the positions to index into. The XPath virtual
-    root is an ordinary context whose window is the whole document and
-    whose only child is the document element; it matches ``node()``."""
+    order, duplicate-free) from the structural index: ids of the step's
+    result before boolean predicates, in document order and
+    duplicate-free, `_VIRTUAL` standing for the virtual root. Without
+    positional predicates the contexts are merged into one group; with
+    them every context keeps its own group, in axis order, for the
+    positions to index into. The XPath virtual root is an ordinary
+    context whose window is the whole document and whose only child is
+    the document element; it matches ``node()``."""
     axis, test = step.axis, step.node_test
     virtual = isinstance(contexts[0], _VirtualRoot)
     navigator = contexts[0].navigator
@@ -255,10 +200,9 @@ def _index_step(index, contexts, step: Step, positions):
         found.discard(_VIRTUAL)
         out = sorted(found, key=index.pre_of.__getitem__)
     store.charge_index_step(navigator.stats, out, decoded)
-    handles = navigator.handles(out)
     if with_root:
-        handles.insert(0, contexts[0])
-    return handles
+        out.insert(0, _VIRTUAL)
+    return out
 
 
 #
@@ -299,31 +243,70 @@ def _nth(group: list, position: Position) -> list:
     return group[at - 1 : at] if at >= 1 else []
 
 
+#: ``(navigator, node id) -> ids``: one stored node's unfiltered
+#: population on an axis, walked hop by hop and charged by the navigator
+#: (the navigation twin of `_POPULATION`)
+_WALK = {
+    Axis.CHILD: Navigator.child_ids,
+    Axis.ATTRIBUTE: Navigator.attribute_ids,
+    Axis.SELF: lambda navigator, nid: [nid],
+    Axis.PARENT: Navigator.parent_ids,
+    Axis.ANCESTOR: lambda navigator, nid: navigator.ancestor_ids(nid, False),
+    Axis.ANCESTOR_OR_SELF: lambda navigator, nid: navigator.ancestor_ids(nid, True),
+    Axis.DESCENDANT: lambda navigator, nid: navigator.descendant_ids(nid, False),
+    Axis.DESCENDANT_OR_SELF: lambda navigator, nid: navigator.descendant_ids(nid, True),
+    Axis.FOLLOWING_SIBLING: lambda navigator, nid: navigator.sibling_ids(nid, True),
+    Axis.PRECEDING_SIBLING: lambda navigator, nid: navigator.sibling_ids(nid, False),
+}
+
+
+def _test_ids(navigator: Navigator, ids: list[int], test: NodeTest) -> list[int]:
+    """The node test on ids: the navigator reads kind and label."""
+    if test.kind is NodeTestKind.ANY:
+        return ids
+    if test.kind is NodeTestKind.TEXT:
+        return navigator.select(ids, NodeKind.TEXT)
+    kind = NodeKind.ATTRIBUTE if test.kind is NodeTestKind.ATTRIBUTE else NodeKind.ELEMENT
+    return navigator.select(ids, kind, None if test.name == STAR else test.name)
+
+
 def _navigate_step(contexts, step: Step, positions):
     """Hop-by-hop evaluation of one step, context by context: the
     fallback when no valid index is there, and the oracle the index is
-    held to. Yields in context order; duplicates and order are the
-    caller's to settle."""
+    held to. Yields ids in context order, each context's walk charged
+    before any of its matches is yielded; duplicates and order are the
+    caller's to settle. The virtual root is handled as in `_index_step`:
+    its only child is the document element, reached without a hop."""
+    axis, test = step.axis, step.node_test
+    navigator = contexts[0].navigator
+    walk = _WALK[axis]
     for context in contexts:
-        matched = [
-            node
-            for node in _axis_nodes(context, step.axis)
-            if _matches(node, step.node_test)
-        ]
+        if context.node_id != _VIRTUAL:
+            matched = _test_ids(navigator, walk(navigator, context.node_id), test)
+        else:
+            root_id = context.doc_root.node_id
+            if axis in _DESCENDANT_AXES:
+                population = navigator.descendant_ids(root_id, True)
+            else:
+                population = [root_id] if axis is Axis.CHILD else []
+            matched = _test_ids(navigator, population, test)
+            if test.kind is NodeTestKind.ANY and (axis is Axis.SELF or axis in _OR_SELF_AXES):
+                matched = [_VIRTUAL, *matched]
         # positional predicates filter within this context's axis result
         for position in positions:
             matched = _nth(matched, position)
         yield from matched
 
 
-def _apply_step_task(contexts: list[StoredNode], step: Step):
+def _apply_step_task(contexts: list[NodeHandle], step: Step):
     boolean_preds = [
         p for p in step.predicates if not isinstance(p.expr, Position)
     ]
     positions = [
         p.expr for p in step.predicates if isinstance(p.expr, Position)
     ]
-    store = contexts[0].navigator.store
+    navigator = contexts[0].navigator
+    store = navigator.store
     # one index evaluation for the whole context list when the store
     # carries a valid structural index; hop-by-hop navigation otherwise
     # (bit-identical results)
@@ -332,18 +315,20 @@ def _apply_step_task(contexts: list[StoredNode], step: Step):
         candidates = _index_step(index, contexts, step, positions)
     else:
         candidates = _navigate_step(contexts, step, positions)
+    handle = navigator.handle
     seen: set[int] = set()
-    out: list[StoredNode] = []
-    for node in candidates:
-        if node.node_id in seen:
+    out: list[NodeHandle] = []
+    for node_id in candidates:
+        if node_id in seen:
             continue
+        node = contexts[0] if node_id == _VIRTUAL else handle(node_id)
         holds = True
         for pred in boolean_preds:
             holds = yield _expr_holds_task(node, pred.expr)
             if not holds:
                 break
         if holds:
-            seen.add(node.node_id)
+            seen.add(node_id)
             out.append(node)
     if index is None:  # document order; the virtual root leads
         rank = store.order_rank
@@ -351,19 +336,18 @@ def _apply_step_task(contexts: list[StoredNode], step: Step):
     return out
 
 
-def string_value(node: StoredNode) -> str:
+def string_value(node: NodeHandle) -> str:
     """XPath string-value: own content for text/attribute nodes, the
     concatenation of descendant text for elements."""
     if node.kind in (NodeKind.TEXT, NodeKind.ATTRIBUTE):
         return node.content or ""
-    parts = []
-    for descendant in node.descendants_or_self():
-        if descendant.kind is NodeKind.TEXT:
-            parts.append(descendant.content or "")
-    return "".join(parts)
+    navigator = node.navigator
+    start = node.doc_root.node_id if node.node_id == _VIRTUAL else node.node_id
+    texts = navigator.select(navigator.descendant_ids(start, True), NodeKind.TEXT)
+    return "".join(text.content or "" for text in navigator.handles(texts))
 
 
-def _expr_holds_task(node: StoredNode, expr: PredicateExpr):
+def _expr_holds_task(node: NodeHandle, expr: PredicateExpr):
     if isinstance(expr, BooleanExpr):
         for operand in expr.operands:
             holds = yield _expr_holds_task(node, operand)
@@ -384,7 +368,7 @@ def _expr_holds_task(node: StoredNode, expr: PredicateExpr):
 
 
 def _evaluate_path_task(
-    contexts: list[StoredNode], path: LocationPath, navigator: Navigator
+    contexts: list[NodeHandle], path: LocationPath, navigator: Navigator
 ):
     if path.absolute:
         contexts = [_VirtualRoot(navigator, navigator.root())]  # type: ignore[list-item]
@@ -402,44 +386,18 @@ def _evaluate_path_task(
 class _VirtualRoot:
     """The XPath root node: parent of the document element.
 
-    Duck-typed so it wraps any navigator's document-element handle
-    (tree-backed :class:`StoredNode` or record-backed
-    :class:`~repro.storage.navigator.RecordNode`); it carries the same
-    navigator, so steps from it are charged to the same walk.
+    Carries the walk's navigator and the document element's handle
+    (tree- or record-backed); the steps treat it by its id, `_VIRTUAL`.
     """
 
-    __slots__ = ("navigator", "node_id", "_doc_root")
+    __slots__ = ("navigator", "node_id", "doc_root")
 
-    def __init__(self, navigator: Navigator, doc_root):
+    kind = NodeKind.OTHER
+
+    def __init__(self, navigator: Navigator, doc_root: NodeHandle):
         self.navigator = navigator
         self.node_id = _VIRTUAL
-        self._doc_root = doc_root
-
-    @property
-    def kind(self) -> NodeKind:
-        return NodeKind.OTHER
-
-    def is_element(self) -> bool:
-        return False
-
-    def parent(self):
-        return None
-
-    def first_child(self):
-        return self._doc_root
-
-    def next_sibling(self):
-        return None
-
-    def prev_sibling(self):
-        return None
-
-    def children(self):
-        yield self._doc_root
-
-    def descendants_or_self(self):
-        yield self
-        yield from self._doc_root.descendants_or_self()
+        self.doc_root = doc_root
 
 
 @dataclass(frozen=True)
@@ -466,7 +424,7 @@ class QueryRun:
         return self.cross_steps / self.total_steps if self.total_steps else 0.0
 
 
-def evaluate(source, xpath: str) -> list[StoredNode]:
+def evaluate(source, xpath: str) -> list[NodeHandle]:
     """Evaluate an expression; returns matching nodes in document order.
 
     ``source`` is a :class:`DocumentStore`, walked by a fresh
@@ -481,7 +439,7 @@ def evaluate(source, xpath: str) -> list[StoredNode]:
 
 def run_query_nodes(
     store: DocumentStore, xpath: str, config: StorageConfig | None = None
-) -> tuple[QueryRun, list[StoredNode]]:
+) -> tuple[QueryRun, list[NodeHandle]]:
     """Evaluate once through a fresh navigator; returns the measured
     :class:`QueryRun` and the matching nodes it counted (buffer content
     is left warm across runs, matching the paper's protocol)."""

@@ -11,8 +11,9 @@ The engine materializes a partitioned document the way Natix does:
 * a **buffer pool** (:mod:`repro.storage.buffer`) caches pages with LRU
   replacement and counts hits/misses,
 * :class:`~repro.storage.store.DocumentStore` exposes navigational
-  access through a per-walk navigator (``store.navigator()``) and its
-  :class:`~repro.storage.store.StoredNode` handles; every axis step is
+  access through a per-walk navigator (``store.navigator()``), whose
+  axis walks go node id to node id, and its
+  :class:`~repro.storage.store.StoredNode` handles; every hop is
   classified intra-record (cheap pointer chase) or cross-record (record
   lookup through the buffer), which is the cost difference the whole
   paper is about, and counted in that walk's ``navigator.stats``.

@@ -112,7 +112,17 @@ class BufferPool:
         self.stats = BufferStats()  # repro: guarded-by(_latch)
 
     def fetch(self, page_id: int) -> Page:
-        """Return the page, counting a hit or a (possibly evicting) miss.
+        """Return the page, counting a hit or a (possibly evicting) miss
+        (see :meth:`touch`)."""
+        with self._latch:
+            self.touch(page_id)
+            return self._cached[page_id]
+
+    def touch(self, page_id: int) -> bool:
+        """Load the page, counting a hit or a (possibly evicting) miss;
+        ``True`` on a miss. Hit or miss is decided in the latch section
+        that counts it, so a reader's page faults agree with the pool's
+        misses however other readers interleave.
 
         A miss reads the page from "disk" and **verifies its checksum
         before caching it** — a corrupted page raises
@@ -123,13 +133,12 @@ class BufferPool:
         page re-verifies instead of trusting stale state.
         """
         with self._latch:
-            page = self._cached.get(page_id)
-            if page is not None:
+            if page_id in self._cached:
                 self.stats.hits += 1
                 if telemetry.enabled():
                     telemetry.count(_HITS)
                 self._cached.move_to_end(page_id)
-                return page
+                return False
             self.stats.misses += 1
             if telemetry.enabled():
                 telemetry.count(_MISSES)
@@ -155,7 +164,7 @@ class BufferPool:
                 if telemetry.enabled():
                     telemetry.count(_EVICTIONS)
                 faults.check("buffer.evict", page_id=evicted_id)
-            return page
+            return True
 
     def is_cached(self, page_id: int) -> bool:
         with self._latch:

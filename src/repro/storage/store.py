@@ -5,11 +5,15 @@ partition is serialized into one record (:meth:`DocumentStore.
 encode_record`, layout in :mod:`repro.storage.record`), records are
 packed onto pages, and a shared label dictionary maps tag
 names to ids. A walk over the document gets its own :class:`Navigator`
-(:meth:`DocumentStore.navigator`), whose handles charge each axis step
+(:meth:`DocumentStore.navigator`). Its walks, one per axis, go from
+node id to node id and charge each hop
 
 * ``intra_cost`` when source and target live in the same record,
 * ``cross_cost`` (+ a buffer fetch, + ``fault_cost`` on a page miss)
-  when the step follows an inter-record proxy.
+  when the hop follows an inter-record proxy.
+
+Handles (:class:`NodeHandle`) are made only for the nodes a caller
+keeps; their single hops are charged by the same routine.
 
 This is the quantity Table 3 measures: the same document stored under
 KM's single-node partitions forces a cross-record hop for nearly every
@@ -30,7 +34,7 @@ what makes re-encoding a record cost its own size, not the document's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from repro import telemetry
 from repro.errors import StorageError
@@ -260,13 +264,12 @@ class DocumentStore:
             decoded = range_records
             stats.partitions_pruned += self.record_count - len(decoded)
         page_of_record = self.manager.page_of_record
-        buffer = self.buffer
+        touch = self.buffer.touch
         for page_id in {
             page_of_record[rid] for rid in decoded if rid in page_of_record
         }:
-            if not buffer.is_cached(page_id):
+            if touch(page_id):
                 stats.page_faults += 1
-            buffer.fetch(page_id)
 
     def space_report(self) -> SpaceReport:
         return self.manager.space_report()
@@ -392,14 +395,21 @@ class DocumentStore:
         return TreeNavigator(self)
 
 
-class Navigator:
-    """One walk over a store: its counters and the one hop charge.
 
-    A navigator lives for one walk (a query run, a scan) and owns that
-    walk's :class:`NavigationStats`, so walks over one store never share
-    counters. Handles hold their navigator and call :meth:`_charge` for
-    every hop they make. Subclasses add ``root()`` (the document
-    element's handle) and ``handles(ids)`` (handles for node ids).
+
+class Navigator:
+    """One walk over a store: its counters, its hop charge and its walks.
+
+    A navigator lives for one walk (a query run, a scan) and owns its
+    :class:`NavigationStats`, so walks over one store count apart. Its
+    walks, one per axis, return a node's axis population on node ids
+    (proximity order for the reverse axes) and charge every hop in the
+    order a first-child / next-sibling / parent walk makes it; the LRU
+    buffer turns that order into page faults. Subclasses supply the
+    structure (``_parent_id``; ``_children_ids``; ``_sibling_id``, the
+    sibling one position (+1 or -1) away; ``None`` where there is none),
+    what a node test reads (``kind_of``, ``select``) and the handles
+    (``root()``, ``handle``).
     """
 
     def __init__(self, store: DocumentStore):
@@ -408,63 +418,235 @@ class Navigator:
         #: the document's heat tallies when heat is on, else ``None``
         self.heat = store.heat
 
-    def _charge(self, source_id: int, target_id: int) -> None:
-        # heat is one pre-bound list.append per hop on the intra branch
-        # (PERF002 forbids a per-hop callback here); the cross branch
-        # also buffers faults and drains at a threshold
+    def _charge_cross(self, source_id: int, target_id: int) -> None:
+        # the intra branch (inlined in the walks) is one list.append for
+        # heat (PERF002); this one also buffers faults, drained at a threshold
         stats = self.stats
         stats.node_visits += 1
-        store = self.store
-        record_of = store.record_of
-        heat = self.heat
-        if record_of[source_id] == record_of[target_id]:
-            stats.intra_steps += 1
-            if heat is not None:
-                heat.append(source_id << 32 | target_id)
-            return
         stats.cross_steps += 1
-        page_id = store.manager.page_of_record[record_of[target_id]]
-        fault = not store.buffer.is_cached(page_id)
-        store.buffer.fetch(page_id)
+        store = self.store
+        page_id = store.manager.page_of_record[store.record_of[target_id]]
+        fault = store.buffer.touch(page_id)
         if fault:
             stats.page_faults += 1
-        if heat is not None:
-            heat.cross(source_id << 32 | target_id, fault)
+        if self.heat is not None:
+            self.heat.cross(source_id << 32 | target_id, fault)
+
+    def _chain(self, source: int, targets: list[int]) -> list[int]:
+        """Charge the hops ``source`` → ``targets[0]`` → ``targets[1]``
+        → … in order; returns ``targets``."""
+        record_of = self.store.record_of
+        heat = self.heat
+        intra = 0
+        for target in targets:
+            if record_of[source] == record_of[target]:
+                intra += 1
+                if heat is not None:
+                    heat.append(source << 32 | target)
+            else:
+                self._charge_cross(source, target)
+            source = target
+        self.stats.intra_steps += intra
+        self.stats.node_visits += intra
+        return targets
+
+    def child_ids(self, node_id: int) -> list[int]:
+        """Hops to the first child, then from each child to the next."""
+        return self._chain(node_id, self._children_ids(node_id))
+
+    def attribute_ids(self, node_id: int) -> list[int]:
+        """The leading attribute children. The walk ends on the first
+        other child, so the hop to it is charged too."""
+        children = self._children_ids(node_id)
+        kind_of = self.kind_of
+        count = next(
+            (i for i, c in enumerate(children) if kind_of(c) is not NodeKind.ATTRIBUTE),
+            len(children),
+        )
+        return self._chain(node_id, children[: count + 1])[:count]
+
+    def parent_ids(self, node_id: int) -> list[int]:
+        parent = self._parent_id(node_id)
+        return [] if parent is None else self._chain(node_id, [parent])
+
+    def ancestor_ids(self, node_id: int, or_self: bool) -> list[int]:
+        """Parent hops up to the document element, nearest first."""
+        ancestors = []
+        parent = self._parent_id(node_id)
+        while parent is not None:
+            ancestors.append(parent)
+            parent = self._parent_id(parent)
+        self._chain(node_id, ancestors)
+        return [node_id, *ancestors] if or_self else ancestors
+
+    def sibling_ids(self, node_id: int, following: bool) -> list[int]:
+        """Next-sibling (or previous-sibling) hops, nearest first."""
+        offset = 1 if following else -1
+        siblings = []
+        sibling = self._sibling_id(node_id, offset)
+        while sibling is not None:
+            siblings.append(sibling)
+            sibling = self._sibling_id(sibling, offset)
+        return self._chain(node_id, siblings)
+
+    def descendant_ids(self, node_id: int, or_self: bool) -> list[int]:
+        """Document-order walk of the subtree (self first, kept only
+        ``or_self``): each node taken off the stack charges its hop to its
+        next sibling (none for the context), then the hop to its own first
+        child."""
+        out: list[int] = []
+        children_ids = self._children_ids
+        record_of = self.store.record_of
+        heat = self.heat
+        charge_cross = self._charge_cross
+        intra = 0
+        append = out.append
+        # entries are (sibling list, index): the node and where its next
+        # sibling is
+        stack = [([node_id], 0)]
+        push, pop = stack.append, stack.pop
+        while stack:
+            siblings, index = pop()
+            node = siblings[index]
+            append(node)
+            index += 1
+            if index < len(siblings):
+                target = siblings[index]
+                if record_of[node] == record_of[target]:
+                    intra += 1
+                    if heat is not None:
+                        heat.append(node << 32 | target)
+                else:
+                    charge_cross(node, target)
+                push((siblings, index))
+            children = children_ids(node)
+            if children:
+                target = children[0]
+                if record_of[node] == record_of[target]:
+                    intra += 1
+                    if heat is not None:
+                        heat.append(node << 32 | target)
+                else:
+                    charge_cross(node, target)
+                push((children, 0))
+        self.stats.intra_steps += intra
+        self.stats.node_visits += intra
+        return out if or_self else out[1:]
+
+    # supplied by subclasses (see the class docstring)
+    _parent_id: Callable[[int], Optional[int]]
+    _children_ids: Callable[[int], list[int]]
+    _sibling_id: Callable[[int, int], Optional[int]]
+    kind_of: Callable[[int], NodeKind]
+    select: Callable[..., list[int]]
+    handle: Callable[[int], "NodeHandle"]
+
+    def handles(self, ids: Iterable[int]) -> list:
+        return [self.handle(i) for i in ids]
+
+
+class NodeHandle:
+    """A handle to one node of a walk. Its single hops are charged to
+    its navigator; the multi-hop walks are the navigator's. Subclasses
+    set ``navigator`` and ``node_id`` and read the payload (``label``,
+    ``kind``, ``content``)."""
+
+    __slots__ = ()
+
+    navigator: Navigator
+    node_id: int
+
+    def is_element(self) -> bool:
+        return self.navigator.kind_of(self.node_id) is NodeKind.ELEMENT
+
+    def _follow(self, target_id: Optional[int]):
+        if target_id is None:
+            return None
+        navigator = self.navigator
+        navigator._chain(self.node_id, [target_id])
+        return navigator.handle(target_id)
+
+    def parent(self):
+        return self._follow(self.navigator._parent_id(self.node_id))
+
+    def first_child(self):
+        children = self.navigator._children_ids(self.node_id)
+        return self._follow(children[0] if children else None)
+
+    def next_sibling(self):
+        return self._follow(self.navigator._sibling_id(self.node_id, 1))
+
+    def prev_sibling(self):
+        return self._follow(self.navigator._sibling_id(self.node_id, -1))
+
+    def children(self) -> list:
+        navigator = self.navigator
+        return navigator.handles(navigator.child_ids(self.node_id))
+
+    def descendants_or_self(self) -> list:
+        """The subtree in document order, self first."""
+        navigator = self.navigator
+        return navigator.handles(navigator.descendant_ids(self.node_id, True))
+
+    @property
+    def record_id(self) -> int:
+        return self.navigator.store.record_of[self.node_id]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}(id={self.node_id}, record={self.record_id})"
 
 
 class TreeNavigator(Navigator):
-    """Navigates the in-memory tree; hops are charged by the record
-    assignment, cross steps through the buffer pool."""
+    """Navigates the in-memory tree: structure from its links; hops are
+    charged by the record assignment, cross steps through the buffer
+    pool."""
+
+    def __init__(self, store: DocumentStore):
+        super().__init__(store)
+        self._nodes = store.tree.nodes
 
     def root(self) -> "StoredNode":
         self.stats.node_visits += 1
-        return StoredNode(self, self.store.tree.root)
+        return StoredNode(self, self._nodes[0])
 
-    def handles(self, ids) -> list["StoredNode"]:
-        nodes = self.store.tree.nodes
-        return [StoredNode(self, nodes[i]) for i in ids]
+    def handle(self, node_id: int) -> "StoredNode":
+        return StoredNode(self, self._nodes[node_id])
+
+    def kind_of(self, node_id: int) -> NodeKind:
+        return self._nodes[node_id].kind
+
+    def select(self, ids, kind: NodeKind, label: Optional[str] = None) -> list[int]:
+        nodes = self._nodes
+        if label is None:
+            return [i for i in ids if nodes[i].kind is kind]
+        return [i for i in ids if nodes[i].label == label and nodes[i].kind is kind]
+
+    def _parent_id(self, node_id: int) -> Optional[int]:
+        parent = self._nodes[node_id].parent
+        return None if parent is None else parent.node_id
+
+    def _children_ids(self, node_id: int) -> list[int]:
+        children = self._nodes[node_id].children
+        return [child.node_id for child in children] if children else []
+
+    def _sibling_id(self, node_id: int, offset: int) -> Optional[int]:
+        node = self._nodes[node_id]
+        sibling = node.next_sibling() if offset > 0 else node.prev_sibling()
+        return None if sibling is None else sibling.node_id
 
 
-class StoredNode:
-    """Handle to one stored node; every hop is charged to its navigator.
+class StoredNode(NodeHandle):
+    """Handle to one node of the in-memory tree (the structure of this
+    simulator); its hops are charged by the real record assignment."""
 
-    The structural links come from the in-memory tree (this is a
-    simulator), but every step is classified intra- vs cross-record using
-    the real record assignment, and cross steps go through the buffer
-    pool — the quantities the experiments measure.
-    """
-
-    __slots__ = ("navigator", "_node")
+    __slots__ = ("navigator", "node_id", "_node")
 
     def __init__(self, navigator: Navigator, node: TreeNode):
         self.navigator = navigator
+        self.node_id = node.node_id
         self._node = node
 
-    # identity / payload (no navigation cost)
-
-    @property
-    def node_id(self) -> int:
-        return self._node.node_id
+    # payload (no navigation cost)
 
     @property
     def label(self) -> str:
@@ -477,59 +659,3 @@ class StoredNode:
     @property
     def content(self) -> Optional[str]:
         return self._node.content
-
-    @property
-    def record_id(self) -> int:
-        return self.navigator.store.record_of[self._node.node_id]
-
-    def is_element(self) -> bool:
-        return self._node.kind is NodeKind.ELEMENT
-
-    # navigation primitives (each hop is charged)
-
-    def _hop(self, target: Optional[TreeNode]) -> Optional["StoredNode"]:
-        if target is None:
-            return None
-        navigator = self.navigator
-        navigator._charge(self._node.node_id, target.node_id)
-        return StoredNode(navigator, target)
-
-    def parent(self) -> Optional["StoredNode"]:
-        return self._hop(self._node.parent)
-
-    def first_child(self) -> Optional["StoredNode"]:
-        children = self._node.children
-        return self._hop(children[0] if children else None)
-
-    def next_sibling(self) -> Optional["StoredNode"]:
-        return self._hop(self._node.next_sibling())
-
-    def prev_sibling(self) -> Optional["StoredNode"]:
-        return self._hop(self._node.prev_sibling())
-
-    def children(self) -> Iterator["StoredNode"]:
-        """First-child / next-sibling walk over all children."""
-        child = self.first_child()
-        while child is not None:
-            yield child
-            child = child.next_sibling()
-
-    def descendants_or_self(self) -> Iterator["StoredNode"]:
-        """Document-order walk of the subtree (self first), step-charged."""
-        yield self
-        stack: list[StoredNode] = []
-        first = self.first_child()
-        if first is not None:
-            stack.append(first)
-        while stack:
-            node = stack.pop()
-            yield node
-            sibling = node.next_sibling()
-            if sibling is not None:
-                stack.append(sibling)
-            child = node.first_child()
-            if child is not None:
-                stack.append(child)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StoredNode(id={self.node_id}, label={self.label!r}, record={self.record_id})"

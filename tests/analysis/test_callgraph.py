@@ -124,7 +124,7 @@ class TestMethodResolution:
     def test_duck_typed_attribute_call_unresolved(self, tmp_path):
         """The precision trade: delegating wrappers must not create
         edges just because the method *name* matches (this is exactly the
-        storage-handle `descendants_or_self` false-positive class)."""
+        `DocumentStore.warm_up` -> `BufferPool.warm_up` delegation class)."""
         _, graph = analyze(
             tmp_path,
             mod="""

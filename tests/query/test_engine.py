@@ -8,8 +8,9 @@ import pytest
 from repro.partition import get_algorithm
 from repro.partition.interval import Partitioning
 from repro.query import XPATHMARK_QUERIES, evaluate, run_query
-from repro.storage import DocumentStore
+from repro.storage import DocumentStore, StoredNode
 from repro.xmlio import parse_tree
+from tests.query.oracles import ReferenceEvaluator
 
 DOC = (
     "<site>"
@@ -163,6 +164,33 @@ class TestMeasurement:
         assert len(runs) == 4 * 2 * len(xpaths)
         diverged = [run.xpath for run in runs if run != solo[run.xpath]]
         assert not diverged, f"{len(diverged)} of {len(runs)} runs: {sorted(set(diverged))}"
+
+    def test_navigation_makes_handles_only_for_matches(self, tiny_xmark, monkeypatch):
+        """A navigated Q1-Q7 round makes one handle per node a step
+        matched (first offered to the step's predicates and result), plus
+        an absolute path's two root handles: not one per hop."""
+        store = DocumentStore.build(
+            tiny_xmark, get_algorithm("km").partition(tiny_xmark, 256)
+        )
+        xpaths = [query.xpath for query in XPATHMARK_QUERIES]
+        matched = hops = 0
+        for xpath in xpaths:
+            reference = ReferenceEvaluator(store.navigator())
+            reference.evaluate(xpath)
+            matched += reference.offered
+            hops += reference.navigator.stats.intra_steps + reference.navigator.stats.cross_steps
+        made = [0]
+        init = StoredNode.__init__
+
+        def counting_init(node, navigator, tree_node):
+            made[0] += 1
+            init(node, navigator, tree_node)
+
+        monkeypatch.setattr(StoredNode, "__init__", counting_init)
+        for xpath in xpaths:
+            evaluate(store, xpath)
+        assert made[0] == matched + 2 * len(xpaths)
+        assert made[0] * 10 < hops
 
     def test_wildcard_matches_elements_only(self, store):
         from repro.tree.node import NodeKind

@@ -11,6 +11,10 @@ import threading
 
 import pytest
 
+from repro.datasets import xmark_document
+from repro.partition import partition_tree
+from repro.query import run_query
+from repro.storage import DocumentStore
 from repro.storage.buffer import BufferPool
 from repro.storage.constants import StorageConfig
 from repro.storage.page import Page
@@ -99,3 +103,62 @@ class TestConcurrentFetch:
             stop.set()
             t.join()
         assert pool.stats.accesses == FETCHES
+
+
+class OtherReader:
+    """A second reader of the pool that runs right after each call a walk
+    makes to ask about a page (``is_cached``) or to load one (``touch``):
+    it fetches other pages until the page asked about is evicted. Between
+    a separate check and fetch, that turns a cached page into a miss."""
+
+    def __init__(self, pool, monkeypatch):
+        self.pool = pool
+        #: misses this reader caused, not the walk
+        self.misses = 0
+        self._busy = False
+        for name in ("is_cached", "touch"):
+            call = getattr(pool, name, None)
+            if call is not None:
+                monkeypatch.setattr(pool, name, self._then_evict(call))
+
+    def _then_evict(self, call):
+        def wrapped(page_id):
+            answer = call(page_id)
+            if not self._busy:
+                self._busy = True
+                before = self.pool.stats.misses
+                others = [p for p in sorted(self.pool._disk) if p != page_id]
+                for other in others[: self.pool.capacity]:
+                    self.pool.fetch(other)
+                self.misses += self.pool.stats.misses - before
+                self._busy = False
+            return answer
+
+        return wrapped
+
+
+class TestFaultsAgreeWithMisses:
+    """A walk's ``page_faults`` are the pool misses it caused, however
+    another reader interleaves: hit or miss is decided where it is
+    counted, in one latch section."""
+
+    @pytest.fixture
+    def store(self):
+        tree = xmark_document(scale=0.0005, seed=3)
+        config = StorageConfig(buffer_pages=2, page_size=512)
+        store = DocumentStore.build(tree, partition_tree(tree, 16, "km"), config)
+        store.warm_up()
+        return store
+
+    def test_navigation(self, store, monkeypatch):
+        reader = OtherReader(store.buffer, monkeypatch)
+        run = run_query(store, "//keyword/ancestor::listitem")
+        assert run.cross_steps > 0 and reader.misses > 0
+        assert run.page_faults == store.buffer.stats.misses - reader.misses
+
+    def test_index_step(self, store, monkeypatch):
+        store.build_index()
+        reader = OtherReader(store.buffer, monkeypatch)
+        run = run_query(store, "//keyword/ancestor::listitem")
+        assert run.window_steps == 2 and reader.misses > 0
+        assert run.page_faults == store.buffer.stats.misses - reader.misses
