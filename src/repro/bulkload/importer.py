@@ -6,10 +6,12 @@ methods of one ``_LoadState`` directly
 type dispatch in between), for plain, journaled and resumed loads alike.
 ``_LoadState`` extends the parser's
 :class:`~repro.xmlio.parser.TreeBuilder` (same node-id assignment, same
-text merging and whitespace handling — tests pin this equivalence) and
-pushes every closing subtree through the cut strategy of a main-memory
-friendly heuristic (:mod:`repro.partition.streaming`, the same strategy
-``partition_tree`` drives over an in-memory tree). Partitions are
+text merging and whitespace handling — tests pin this equivalence),
+gives every new node its entries in the columns of a main-memory
+friendly heuristic's cut strategy (:mod:`repro.partition.streaming`, the
+same strategy ``partition_tree`` drives over an in-memory tree) and
+closes each element there, with the ids of its closed children, at its
+end tag. Partitions are
 *emitted* the moment they are decided; the loader tracks the resident
 weight a real importer would hold — everything parsed but not yet
 emitted — and reports its peak. :meth:`BulkLoader.load_events` is the
@@ -18,7 +20,7 @@ methods.
 
 The spill threshold implements Sec. 4.3's memory bound: whenever the
 resident weight exceeds it, the loader forces partitions out of the open
-frames (largest accumulation first) until it fits again. Spilling
+elements (largest spillable weight first) until it fits again. Spilling
 degrades partition quality but caps memory at roughly
 ``threshold + K × document_height``.
 """
@@ -39,12 +41,7 @@ from repro.errors import (
 from repro.bulkload.journal import ImportJournal, JournalState, source_fingerprint
 from repro.faults import plan as faults
 from repro.partition.interval import Partitioning, SiblingInterval
-from repro.partition.streaming import (
-    ChildSummary,
-    Frame,
-    STRATEGY_CLASSES,
-    StreamStrategy,
-)
+from repro.partition.streaming import STRATEGY_CLASSES, StreamStrategy
 from repro.tree.node import NodeKind, Tree
 from repro.xmlio.events import ParseEvent, replay
 from repro.xmlio.parser import Source, TreeBuilder, push_parse
@@ -201,8 +198,9 @@ def bulk_import(
 
 class _LoadState(TreeBuilder):
     """Mutable per-import state and the handler trio expat calls: the
-    tree under construction (:class:`TreeBuilder`, whose ``open`` stack
-    holds :class:`Frame` objects here), the strategy's frames, stats."""
+    tree under construction (:class:`TreeBuilder` and its ``open`` stack
+    of element nodes), the closed children of each open element, the
+    strategy's columns, stats."""
 
     def __init__(
         self,
@@ -215,6 +213,9 @@ class _LoadState(TreeBuilder):
         self.spill_threshold = loader.spill_threshold
         self.journal = journal
         self.resume = resume
+        #: per open element (parallel to ``open``), the ids of its
+        #: closed children in sibling order
+        self.closed: list[list[int]] = []
         self.intervals: list[SiblingInterval] = []
         self.resident = 0
         self.peak_resident = 0
@@ -253,21 +254,26 @@ class _LoadState(TreeBuilder):
         self.total_weight += weight
         if self.resident > self.peak_resident:
             self.peak_resident = self.resident
+        strategy = self.strategy
+        strategy.residual.append(weight)
+        strategy.cut.append(0)
 
     def _spill(self) -> None:
-        """Force partitions out of the open frames until the resident
+        """Force partitions out of the open elements until the resident
         weight fits the threshold again (callers check there is one)."""
         threshold = self.spill_threshold
+        strategy = self.strategy
         spilled = False
         while self.resident > threshold:
-            frame = max(
-                self.open,
-                key=self.strategy.spillable_weight,
-                default=None,
-            )
-            if frame is None or self.strategy.spillable_weight(frame) == 0:
+            # the first open element with the most spillable weight
+            best, best_weight = -1, 0
+            for i, node in enumerate(self.open):
+                weight = strategy.spillable_weight(node.node_id, self.closed[i])
+                if weight > best_weight:
+                    best, best_weight = i, weight
+            if best_weight == 0:
                 break  # nothing spillable; open nodes dominate
-            freed = self.strategy.spill(frame)
+            freed = strategy.spill(self.open[best].node_id, self.closed[best])
             if freed <= 0:
                 break
             self.spills += 1
@@ -315,40 +321,34 @@ class _LoadState(TreeBuilder):
         if self.pending:
             self._flush_text()
         weight = self.element_weight
-        frames = self.open
-        node = self._element(name, weight, frames[-1].node if frames else None)
+        stack = self.open
+        node = self._element(name, weight, stack[-1] if stack else None)
         self._grow(weight)
-        frame = Frame(node.node_id, weight, [], node)
-        frames.append(frame)
+        stack.append(node)
+        self.closed.append([])
         if attrs:
             wm = self.wm
             for i in range(0, len(attrs), 2):
                 value = attrs[i + 1]
-                self._leaf(
-                    frame, attrs[i], wm.attribute_weight(value), NodeKind.ATTRIBUTE, value
-                )
+                self._leaf(attrs[i], wm.attribute_weight(value), NodeKind.ATTRIBUTE, value)
         if self.spill_threshold is not None:
             self._spill()
 
     def _flush_text(self) -> None:
         text = self._take_text()
         if text is not None:
-            self._leaf(
-                self.open[-1], "#text", self.wm.text_weight(text), NodeKind.TEXT, text
-            )
+            self._leaf("#text", self.wm.text_weight(text), NodeKind.TEXT, text)
             if self.spill_threshold is not None:
                 self._spill()
 
-    def _leaf(
-        self, frame: Frame, label: str, weight: int, kind: NodeKind, content: str
-    ) -> None:
-        """A text / attribute node under the open element ``frame``; its
-        summary is never cut on its own unless the parent decides so."""
+    def _leaf(self, label: str, weight: int, kind: NodeKind, content: str) -> None:
+        """A text / attribute node under the innermost open element,
+        closed the moment it exists."""
         node = self.tree.add_child(  # type: ignore[union-attr]
-            frame.node, label, weight, kind, content
+            self.open[-1], label, weight, kind, content
         )
         self._grow(weight)
-        frame.children.append(ChildSummary(node.node_id, weight, weight))
+        self.closed[-1].append(node.node_id)
 
     def end(self, name: str) -> None:
         self.events += 1
@@ -356,14 +356,15 @@ class _LoadState(TreeBuilder):
             faults.check("parser.event", index=self.events)
         if self.pending:
             self._flush_text()
-        frames = self.open
-        if not frames:
+        stack = self.open
+        if not stack:
             raise XmlFormatError(f"unexpected closing tag {name!r}")
-        summary = self.strategy.close(frames.pop())
-        if frames:
-            frames[-1].children.append(summary)
+        node_id = stack.pop().node_id
+        self.strategy.close(node_id, self.closed.pop())
+        if stack:
+            self.closed[-1].append(node_id)
         else:
-            self.strategy.finish(summary)
+            self.strategy.finish(node_id)
         if self.spill_threshold is not None:
             self._spill()
 
@@ -371,6 +372,9 @@ class _LoadState(TreeBuilder):
 
     def complete(self) -> ImportResult:
         tree = self.finish()
+        # The strategy's ``emit`` is a method of this state: break the
+        # cycle so its O(n) columns go now, not at the next collection.
+        del self.strategy
         self.intervals.append(SiblingInterval(0, 0))
         self.resident = max(0, self.resident)
         # The finalize fault point fires *before* the commit record: a

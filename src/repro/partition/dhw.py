@@ -140,7 +140,7 @@ def dhw_partition(
     if cache is None:
         cache = default_cache()
     with telemetry.span("dhw.flatten"):
-        flat = FlatWeights.from_tree(tree)
+        flat = FlatWeights(tree)
         reject_overweight(tree, flat.weight, limit)
         shapes = cache.shape_ids(flat)
     with telemetry.span("dhw.dp"):

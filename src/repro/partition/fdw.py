@@ -35,7 +35,7 @@ def fdw_partition_flat(
     """
     if cache is None:
         cache = default_cache()
-    flat = FlatWeights.from_tree(tree)
+    flat = FlatWeights(tree)
     reject_overweight(tree, flat.weight, limit)
     if flat.child_offset[1] != flat.n - 1:
         raise TreeError("fdw_partition_flat requires a flat tree (all children are leaves)")

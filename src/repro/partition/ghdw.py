@@ -95,7 +95,7 @@ def ghdw_partition(
     if cache is None:
         cache = default_cache()
     with telemetry.span("ghdw.flatten"):
-        flat = FlatWeights.from_tree(tree)
+        flat = FlatWeights(tree)
         reject_overweight(tree, flat.weight, limit)
         shapes = cache.shape_ids(flat)
     with telemetry.span("ghdw.dp"):

@@ -1,23 +1,26 @@
 """KM, RS and EKM: the main-memory friendly heuristics (paper Sec. 4.1, 4.3).
 
 The paper defines these heuristics by one property: every cut is decided
-when a subtree closes, from summaries of its already-closed children.
-Each heuristic is therefore written once, as a cut strategy: it consumes
-a closing element's *frame* (its weight plus summaries of its closed
-children), emits the partitions it decides on right now, and returns the
-summary the parent will see. Everything an emitted partition needs has
-already been seen, and nothing about it is needed later.
+when a subtree closes, from a few numbers per already-closed child. Each
+heuristic is therefore written once, as a cut strategy over node ids: it
+keeps those numbers in columns indexed by node id (``residual``, a
+``cut`` flag, and for EKM the first-child chain), and when an element
+closes it reads its children's entries, emits the partitions it decides
+on right now and writes the element's own entry for its parent. Everything
+an emitted partition needs has already been seen, and nothing about it is
+needed later.
 
-Two drivers close the frames:
+Two drivers close the elements:
 
-* :class:`StreamingPartitioner` walks an in-memory :class:`Tree` in
-  descending node-id order — every construction path creates a parent
-  before its children, so all children of a node have closed when it is
-  reached — and is what ``partition_tree(tree, K, "km" | "rs" | "ekm")``
-  runs;
-* the bulkloader (:mod:`repro.bulkload.importer`) closes a frame per
-  parser end-tag and, under its spill threshold, also forces partitions
-  out of frames that are still open (:meth:`StreamStrategy.spill`).
+* :class:`StreamingPartitioner` walks the :class:`~repro.tree.flat.FlatWeights`
+  columns of an in-memory :class:`Tree` in descending node-id order —
+  every construction path creates a parent before its children, so all
+  children of a node have closed when it is reached — and is what
+  ``partition_tree(tree, K, "km" | "rs" | "ekm")`` runs;
+* the bulkloader (:mod:`repro.bulkload.importer`) adds each parsed node's
+  column entries, closes an element per parser end-tag and, under its
+  spill threshold, also forces partitions out of elements that are still
+  open (:meth:`StreamStrategy.spill`).
 
 Without spills both drivers make the same decisions; tests pin them
 against the batch loops kept as oracles in ``tests/partition/oracles.py``.
@@ -27,78 +30,87 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import InfeasiblePartitioningError
 from repro.obsv import explain
-from repro.partition.base import Partitioner, register
+from repro.partition.base import Partitioner, register, reject_overweight
 from repro.partition.interval import Partitioning, SiblingInterval
-from repro.tree.node import Tree, TreeNode
+from repro.tree.flat import FlatWeights
+from repro.tree.node import Tree
 
 #: callback: (interval, freed_weight) -> None
 EmitFn = Callable[[SiblingInterval, int], None]
 
 
-@dataclass(slots=True)
-class ChildSummary:
-    """What a parent remembers about a closed child subtree."""
-
-    node_id: int
-    own_weight: int
-    #: KM/RS: residual subtree weight (uncut part); EKM: binary residual,
-    #: filled in when the parent closes.
-    residual: int = 0
-    #: True once the child's component was emitted (close cut or spill).
-    emitted: bool = False
-    # EKM bookkeeping for the left (first-child) binary edge:
-    first_child: int = -1
-    first_chain_end: int = -1
-    res_first: int = 0
-
-
-@dataclass(slots=True)
-class Frame:
-    """An open element: weight so far plus closed-children summaries."""
-
-    node_id: int
-    weight: int
-    children: list[ChildSummary] = field(default_factory=list)
-    #: the element's tree node — the loader hangs children off it
-    #: directly instead of looking the parent up by id per child
-    node: Optional[TreeNode] = None
-
-    def uncut_children(self) -> list[ChildSummary]:
-        return [c for c in self.children if not c.emitted]
-
-
 class StreamStrategy(abc.ABC):
-    """One main-memory friendly cut rule."""
+    """One main-memory friendly cut rule.
+
+    A driver appends every new node's weight to ``residual`` and a 0 to
+    ``cut``, in id order. ``close`` / ``spill`` / ``spillable_weight``
+    take an element's id and the ids of its closed children in sibling
+    order; children are leaves or elements whose ``close`` already ran.
+    """
 
     name: str = "abstract"
 
     def __init__(self, limit: int, emit: EmitFn):
         self.limit = limit
         self.emit = emit
+        #: per node id, the weight the node still adds to its parent's
+        #: partition: ``w(v)`` until it closes, then its uncut subtree
+        #: (KM / RS) or itself plus its uncut first-child chain (EKM,
+        #: which overwrites it with the binary residual when the parent
+        #: closes)
+        self.residual: list[int] = []
+        #: per node id, 1 once a partition starting at the node was emitted
+        self.cut = bytearray()
 
     @abc.abstractmethod
-    def close(self, frame: Frame) -> ChildSummary:
-        """Handle a closing element; emit partitions; return its summary."""
+    def close(self, node_id: int, children: list[int]) -> None:
+        """Handle a closing element: emit partitions, set its entries."""
 
-    def finish(self, root: ChildSummary) -> None:
+    def finish(self, root: int) -> None:
         """Last decisions once the root has closed (the root has no
         parent whose close could cut below it)."""
 
     @abc.abstractmethod
-    def spill(self, frame: Frame) -> int:
-        """Emit one partition from an *open* frame to free memory.
+    def spill(self, node_id: int, children: list[int]) -> int:
+        """Emit one partition from an *open* element to free memory.
 
         Returns the freed weight (0 if nothing can be spilled here).
         """
 
-    def spillable_weight(self, frame: Frame) -> int:
-        """Weight a spill on this frame could free (for frame selection)."""
-        return sum(c.residual for c in frame.uncut_children())
+    def spillable_weight(self, node_id: int, children: list[int]) -> int:
+        """Weight a spill on this element could free (for its selection)."""
+        residual, cut = self.residual, self.cut
+        return sum([residual[c] for c in children if not cut[c]])
+
+    def _pack_rightmost_run(
+        self, children: list[int], rest: float
+    ) -> Optional[tuple[int, int, int]]:
+        """Emit the rightmost run of uncut children, extended leftward
+        while the next sibling fits and ``rest`` minus the run still
+        exceeds the limit; returns (left id, length, weight) of the run,
+        or None when every child is cut."""
+        residual, cut, limit = self.residual, self.cut, self.limit
+        end = len(children) - 1
+        while end >= 0 and cut[children[end]]:
+            end -= 1
+        if end < 0:
+            return None
+        weight = residual[children[end]]
+        begin = end
+        while rest - weight > limit and begin > 0:
+            prev = children[begin - 1]
+            if cut[prev] or weight + residual[prev] > limit:
+                break
+            begin -= 1
+            weight += residual[prev]
+        for i in range(begin, end + 1):
+            cut[children[i]] = 1
+        self.emit(SiblingInterval(children[begin], children[end]), weight)
+        return children[begin], end - begin + 1, weight
 
 
 class KMStreamStrategy(StreamStrategy):
@@ -115,41 +127,45 @@ class KMStreamStrategy(StreamStrategy):
 
     name = "km"
 
-    def close(self, frame: Frame) -> ChildSummary:
-        rest = frame.weight + sum(c.residual for c in frame.uncut_children())
-        if rest > self.limit:
+    def close(self, node_id: int, children: list[int]) -> None:
+        residual, cut, limit = self.residual, self.cut, self.limit
+        uncut = [c for c in children if not cut[c]]
+        rest = residual[node_id] + sum([residual[c] for c in uncut])
+        if rest > limit:
             # Heaviest first; the stable sort keeps ties left to right.
-            by_weight = sorted(frame.uncut_children(), key=lambda c: -c.residual)
+            by_weight = sorted(uncut, key=residual.__getitem__, reverse=True)
             for child in by_weight:
-                if rest <= self.limit:
+                if rest <= limit:
                     break
-                self.emit(SiblingInterval(child.node_id, child.node_id), child.residual)
-                rest -= child.residual
-                child.emitted = True
+                weight = residual[child]
+                self.emit(SiblingInterval(child, child), weight)
+                rest -= weight
+                cut[child] = 1
                 if explain.explaining():
                     explain.decision(
-                        child.node_id,
+                        child,
                         "km-cut",
-                        parent=frame.node_id,
-                        cut_weight=child.residual,
+                        parent=node_id,
+                        cut_weight=weight,
                         rest=rest,
                         considered=len(by_weight),
                     )
-        if rest > self.limit:
+        if rest > limit:
             raise InfeasiblePartitioningError(
-                f"node {frame.node_id} cannot be reduced below K={self.limit}",
-                node_id=frame.node_id,
+                f"node {node_id} cannot be reduced below K={limit}",
+                node_id=node_id,
             )
-        return ChildSummary(frame.node_id, frame.weight, residual=rest)
+        residual[node_id] = rest
 
-    def spill(self, frame: Frame) -> int:
-        candidates = frame.uncut_children()
+    def spill(self, node_id: int, children: list[int]) -> int:
+        residual, cut = self.residual, self.cut
+        candidates = [c for c in children if not cut[c]]
         if not candidates:
             return 0
-        child = max(candidates, key=lambda c: c.residual)
-        self.emit(SiblingInterval(child.node_id, child.node_id), child.residual)
-        child.emitted = True
-        return child.residual
+        child = max(candidates, key=residual.__getitem__)
+        self.emit(SiblingInterval(child, child), residual[child])
+        cut[child] = 1
+        return residual[child]
 
 
 class RSStreamStrategy(StreamStrategy):
@@ -165,14 +181,15 @@ class RSStreamStrategy(StreamStrategy):
 
     name = "rs"
 
-    def close(self, frame: Frame) -> ChildSummary:
-        rest = frame.weight + sum(c.residual for c in frame.uncut_children())
+    def close(self, node_id: int, children: list[int]) -> None:
+        residual, cut = self.residual, self.cut
+        rest = residual[node_id] + sum([residual[c] for c in children if not cut[c]])
         while rest > self.limit:
-            run = self._pack_rightmost_run(frame, rest)
+            run = self._pack_rightmost_run(children, rest)
             if run is None:
                 raise InfeasiblePartitioningError(
-                    f"node {frame.node_id} cannot be reduced below K={self.limit}",
-                    node_id=frame.node_id,
+                    f"node {node_id} cannot be reduced below K={self.limit}",
+                    node_id=node_id,
                 )
             left_id, size, weight = run
             rest -= weight
@@ -180,43 +197,17 @@ class RSStreamStrategy(StreamStrategy):
                 explain.decision(
                     left_id,
                     "rs-pack",
-                    parent=frame.node_id,
+                    parent=node_id,
                     run=size,
                     run_weight=weight,
                     rest=rest,
                 )
-        return ChildSummary(frame.node_id, frame.weight, residual=rest)
+        residual[node_id] = rest
 
-    def spill(self, frame: Frame) -> int:
+    def spill(self, node_id: int, children: list[int]) -> int:
         """Spill one run packed to the limit (no residual target)."""
-        run = self._pack_rightmost_run(frame, math.inf)
+        run = self._pack_rightmost_run(children, math.inf)
         return 0 if run is None else run[2]
-
-    def _pack_rightmost_run(
-        self, frame: Frame, rest: float
-    ) -> Optional[tuple[int, int, int]]:
-        """Emit the rightmost run of uncut children, extended leftward
-        while the next sibling fits and ``rest`` minus the run still
-        exceeds the limit; returns (left id, length, weight) of the run,
-        or None when every child is cut."""
-        kids = frame.children
-        end = len(kids) - 1
-        while end >= 0 and kids[end].emitted:
-            end -= 1
-        if end < 0:
-            return None
-        weight = kids[end].residual
-        begin = end
-        while rest - weight > self.limit and begin > 0:
-            prev = kids[begin - 1]
-            if prev.emitted or weight + prev.residual > self.limit:
-                break
-            begin -= 1
-            weight += prev.residual
-        for i in range(begin, end + 1):
-            kids[i].emitted = True
-        self.emit(SiblingInterval(kids[begin].node_id, kids[end].node_id), weight)
-        return kids[begin].node_id, end - begin + 1, weight
 
 
 class EKMStreamStrategy(StreamStrategy):
@@ -238,17 +229,37 @@ class EKMStreamStrategy(StreamStrategy):
     binary postorder for that sibling group — computing each child's
     binary residual and cutting the heavier binary edge while the
     residual exceeds the limit (ties cut the left, first-child edge).
+    The element keeps its uncut first-child chain in three more columns:
+    ``first_child`` and ``first_chain_end`` (the chain's sibling
+    interval, ``-1`` if none) and ``res_first`` (its binary residual).
     """
 
     name = "ekm"
 
-    def close(self, frame: Frame) -> ChildSummary:
-        kids = frame.children
+    def __init__(self, limit: int, emit: EmitFn):
+        super().__init__(limit, emit)
+        self.res_first: list[int] = []
+        self.first_child: list[int] = []
+        self.first_chain_end: list[int] = []
+
+    def _pad_chains(self) -> None:
+        """No first-child chain for the nodes added since the columns were
+        last read (drivers append only ``residual`` and ``cut``)."""
+        missing = len(self.residual) - len(self.res_first)
+        if missing:
+            self.res_first += [0] * missing
+            self.first_child += [-1] * missing
+            self.first_chain_end += [-1] * missing
+
+    def close(self, node_id: int, children: list[int]) -> None:
+        self._pad_chains()
+        residual, cut, limit = self.residual, self.cut, self.limit
+        res_first = self.res_first
         res_next = 0  # binary residual of the (uncut) right sibling chain
         chain_end_next = -1  # last node of that chain
-        for i in range(len(kids) - 1, -1, -1):
-            child = kids[i]
-            if child.emitted:
+        for i in range(len(children) - 1, -1, -1):
+            child = children[i]
+            if cut[child]:
                 if res_next > 0:
                     # Siblings that arrived *after* a spill emitted this
                     # component are orphans: their binary parent edge
@@ -256,78 +267,73 @@ class EKMStreamStrategy(StreamStrategy):
                     # cut could ever detach them. Emit the group as its
                     # own partition (this only happens after spills; pure
                     # close-time EKM never creates orphans).
-                    self.emit(
-                        SiblingInterval(kids[i + 1].node_id, chain_end_next),
-                        res_next,
-                    )
-                    kids[i + 1].emitted = True
+                    orphan = children[i + 1]
+                    self.emit(SiblingInterval(orphan, chain_end_next), res_next)
+                    cut[orphan] = 1
                 # The right edge of this child's left neighbour is
                 # effectively cut.
                 res_next = 0
                 chain_end_next = -1
                 continue
-            rest = child.own_weight + child.res_first + res_next
-            while rest > self.limit:
-                left, right = child.res_first, res_next
+            # the child's weight plus its first-child chain, plus the right chain
+            rest = residual[child] + res_next
+            while rest > limit:
+                left, right = res_first[child], res_next
                 if left == 0 and right == 0:
                     raise InfeasiblePartitioningError(
-                        f"node {child.node_id} cannot be reduced below "
-                        f"K={self.limit}",
-                        node_id=child.node_id,
+                        f"node {child} cannot be reduced below K={limit}",
+                        node_id=child,
                     )
                 if left >= right:
-                    cut_id = child.first_child
-                    self.emit(SiblingInterval(cut_id, child.first_chain_end), left)
-                    child.res_first = 0
+                    cut_id = self.first_child[child]
+                    self.emit(SiblingInterval(cut_id, self.first_chain_end[child]), left)
+                    res_first[child] = 0
+                    rest -= left
                 else:
-                    nxt = kids[i + 1]
-                    cut_id = nxt.node_id
+                    cut_id = children[i + 1]
                     self.emit(SiblingInterval(cut_id, chain_end_next), right)
-                    nxt.emitted = True
+                    cut[cut_id] = 1
                     res_next = 0
                     chain_end_next = -1
-                rest = child.own_weight + child.res_first + res_next
+                    rest -= right
                 if explain.explaining():
                     explain.decision(
                         cut_id,
                         "ekm-cut",
-                        parent=child.node_id,
+                        parent=child,
                         edge="first-child" if left >= right else "next-sibling",
                         cut_weight=max(left, right),
                         rest=rest,
                     )
-            child.residual = rest
+            residual[child] = rest
             if res_next == 0 or chain_end_next == -1:
-                chain_end_next = child.node_id
+                chain_end_next = child
             res_next = rest
-        summary = ChildSummary(frame.node_id, frame.weight)
-        first = kids[0] if kids else None
-        if first is not None and not first.emitted:
-            summary.first_child = first.node_id
-            summary.first_chain_end = chain_end_next
-            summary.res_first = res_next
-        summary.residual = summary.own_weight + summary.res_first
-        return summary
+        if children and not cut[children[0]]:
+            self.first_child[node_id] = children[0]
+            self.first_chain_end[node_id] = chain_end_next
+            res_first[node_id] = res_next
+            residual[node_id] += res_next
 
-    def finish(self, root: ChildSummary) -> None:
+    def finish(self, root: int) -> None:
         """The root's own binary residual check: its only binary child is
         the first-child chain, cut if the two together exceed ``K``."""
-        if root.own_weight + root.res_first > self.limit and root.res_first:
-            self.emit(
-                SiblingInterval(root.first_child, root.first_chain_end),
-                root.res_first,
-            )
+        self._pad_chains()
+        chain = self.res_first[root]
+        if chain and self.residual[root] > self.limit:
+            first = self.first_child[root]
+            self.emit(SiblingInterval(first, self.first_chain_end[root]), chain)
             if explain.explaining():
                 explain.decision(
-                    root.first_child,
+                    first,
                     "ekm-cut",
-                    parent=root.node_id,
+                    parent=root,
                     edge="first-child",
-                    cut_weight=root.res_first,
-                    rest=root.own_weight,
+                    cut_weight=chain,
+                    rest=self.residual[root] - chain,
                 )
 
-    def spill(self, frame: Frame) -> int:
+    def spill(self, node_id: int, children: list[int]) -> int:
         """Pack the rightmost run of closed children into one partition.
 
         Unlike close-time EKM the right-sibling chain is still growing, so
@@ -335,71 +341,56 @@ class EKMStreamStrategy(StreamStrategy):
         quality-for-memory trade of Sec. 4.3. Each child contributes its
         whole component (itself plus its uncut first-child chain); a child
         whose component alone exceeds the limit first sheds that chain as
-        a separate partition.
+        a separate partition. A component's weight is its ``residual``
+        until the parent closes, so the run is packed as RS packs one.
         """
-        kids = frame.children
-        end = len(kids) - 1
-        while end >= 0 and kids[end].emitted:
-            end -= 1
-        if end < 0:
+        self._pad_chains()
+        for last in reversed(children):
+            if not self.cut[last]:
+                break
+        else:
             return 0
-        last = kids[end]
-        weight = last.own_weight + last.res_first
-        if weight > self.limit:
+        if self.residual[last] > self.limit:
             # The component is only over the limit because of its left
-            # chain (own_weight <= K is checked upstream): emit the chain.
+            # chain (its own weight <= K is checked upstream): emit the chain.
+            freed = self.res_first[last]
             self.emit(
-                SiblingInterval(last.first_child, last.first_chain_end),
-                last.res_first,
+                SiblingInterval(self.first_child[last], self.first_chain_end[last]),
+                freed,
             )
-            freed = last.res_first
-            last.res_first = 0
+            self.res_first[last] = 0
+            self.residual[last] -= freed
             return freed
-        begin = end
-        while begin > 0:
-            prev = kids[begin - 1]
-            if prev.emitted:
-                break
-            prev_weight = prev.own_weight + prev.res_first
-            if weight + prev_weight > self.limit:
-                break
-            begin -= 1
-            weight += prev_weight
-        for i in range(begin, end + 1):
-            kids[i].emitted = True
-        self.emit(SiblingInterval(kids[begin].node_id, kids[end].node_id), weight)
-        return weight
-
-    def spillable_weight(self, frame: Frame) -> int:
-        return sum(c.own_weight + c.res_first for c in frame.uncut_children())
+        run = self._pack_rightmost_run(children, math.inf)
+        return 0 if run is None else run[2]
 
 
 class StreamingPartitioner(Partitioner):
-    """A cut strategy driven over an in-memory tree."""
+    """A cut strategy driven over an in-memory tree's columns."""
 
     main_memory_friendly = True
     strategy: type[StreamStrategy]
 
+    def _check_feasible(self, tree: Tree, limit: int) -> None:
+        """:meth:`_partition` checks the flattened weight column."""
+
     def _partition(self, tree: Tree, limit: int) -> Partitioning:
-        root = tree.root
-        intervals = [SiblingInterval(root.node_id, root.node_id)]
+        flat = FlatWeights(tree)
+        reject_overweight(tree, flat.weight, limit)
+        intervals = [SiblingInterval(0, 0)]
         strategy = self.strategy(limit, lambda interval, _freed: intervals.append(interval))
-        nodes = tree.nodes
-        # closed subtrees whose parent has not closed yet
-        summaries: dict[int, ChildSummary] = {}
+        strategy.residual += flat.weight
+        strategy.cut += bytes(flat.n)
+        close = strategy.close
+        offset, child_ids = flat.child_offset, flat.child_ids
         # Children have larger ids than their parent, so descending ids
-        # close every child before its parent; the frame lists them in
+        # close every child before its parent; the CSR lists them in
         # sibling order, which need not be id order.
-        for nid in range(len(nodes) - 1, -1, -1):
-            node = nodes[nid]
-            if node.children:
-                frame = Frame(
-                    nid, node.weight, [summaries.pop(c.node_id) for c in node.children]
-                )
-                summaries[nid] = strategy.close(frame)
-            else:
-                summaries[nid] = ChildSummary(nid, node.weight, node.weight)
-        strategy.finish(summaries[root.node_id])
+        for v in range(flat.n - 1, -1, -1):
+            lo, hi = offset[v], offset[v + 1]
+            if lo < hi:
+                close(v, child_ids[lo:hi])
+        strategy.finish(0)
         return Partitioning(intervals)
 
 

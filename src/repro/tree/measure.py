@@ -4,16 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.tree.flat import FlatWeights
 from repro.tree.node import Tree
-from repro.tree.traversal import iter_postorder, iter_preorder
+from repro.tree.traversal import iter_preorder
 
 
 def subtree_weights(tree: Tree) -> list[int]:
-    """``W_T(v)`` for every node, indexed by node id (one postorder pass)."""
-    weights = [0] * len(tree)
-    for node in iter_postorder(tree):
-        weights[node.node_id] = node.weight + sum(weights[c.node_id] for c in node.children)
-    return weights
+    """``W_T(v)`` for every node, indexed by node id (the
+    :class:`~repro.tree.flat.FlatWeights` column)."""
+    return FlatWeights(tree).subtree_weight
 
 
 def node_depths(tree: Tree) -> list[int]:

@@ -212,8 +212,9 @@ class Tree:
     def subtree_weight(self, node: TreeNode) -> int:
         """``W_T(v)``: total weight of the subtree induced by ``node``.
 
-        Computed lazily for the whole tree in one postorder pass and cached
-        until the tree is mutated.
+        Computed lazily for the whole tree (the
+        :class:`~repro.tree.flat.FlatWeights` column) and cached until the
+        tree is mutated.
         """
         if self._subtree_weights is None:
             from repro.tree.measure import subtree_weights

@@ -162,7 +162,7 @@ class TestErrorsSurfaceUnchanged:
     def test_value_error_from_loader_code(self, monkeypatch):
         from repro.partition.streaming import EKMStreamStrategy
 
-        def broken_close(self, frame):
+        def broken_close(self, node_id, children):
             raise ValueError("strategy bug")
 
         monkeypatch.setattr(EKMStreamStrategy, "close", broken_close)

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.bulkload import BulkLoader
 from repro.datasets.random_trees import (
     duplicated_subtree_tree,
     heavy_child_tree,
@@ -21,13 +22,14 @@ from repro.datasets.random_trees import (
 )
 from repro.errors import TreeError
 from repro.obsv.explain import explain_scope
-from repro.partition import get_algorithm
+from repro.partition import get_algorithm, partition_tree
 from repro.partition.dhw import DHWPartitioner, dhw_partition
 from repro.partition.fdw import FDWPartitioner, fdw_partition_flat
 from repro.partition.ghdw import GHDWPartitioner, ghdw_partition
 from repro.partition.shapecache import ShapeCache
 from repro.tree.builders import chain_tree, flat_tree, tree_from_spec
 from repro.tree.node import Tree
+from repro.xmlio import parse_tree, tree_to_xml
 
 from tests.bulkload.test_roundtrip_properties import xml_documents
 from tests.partition.oracles import (
@@ -184,6 +186,32 @@ class TestHeuristicsEqualBatchOracles:
     @given(xml_documents(), st.integers(0, 48))
     def test_creation_order_is_not_document_order(self, tree, extra):
         self.check(tree, tree.max_node_weight() + extra)
+
+
+class TestDriversRecordTheSameDecisions:
+    """The two drivers of the cut strategies decide alike: an unspilled
+    ``BulkLoader.load`` records, left id for left id, the decisions
+    ``partition_tree`` records on the parsed document."""
+
+    @pytest.mark.parametrize("algorithm", ["km", "rs", "ekm"])
+    @settings(max_examples=40, deadline=None)
+    @given(xml_documents(), st.integers(4, 32))
+    def test_unspilled_load_equals_partition_tree(self, algorithm, tree, limit):
+        xml = tree_to_xml(tree)
+        limit = max(limit, tree.max_node_weight())
+        with explain_scope() as collector:
+            loaded = BulkLoader(algorithm, limit).load(xml)
+        by_loader = dict(collector.decisions)
+        with explain_scope() as collector:
+            partitioned = partition_tree(parse_tree(xml), limit, algorithm)
+        entries = collector.explain_for(algorithm).entries
+        by_partitioner = {
+            e.interval[0]: e.decision
+            for e in entries
+            if e.decision is not None and e.decision.kind != "root-interval"
+        }
+        assert loaded.partitioning == partitioned
+        assert by_loader == by_partitioner
 
 
 class TestCacheBehaviour:

@@ -4,13 +4,13 @@ from repro import telemetry
 from repro.datasets.random_trees import duplicated_subtree_tree, random_tree
 from repro.partition.shapecache import ShapeCache, clear_default_cache, default_cache
 from repro.tree.builders import chain_tree, flat_tree
-from repro.tree.flat import FlatTree
+from repro.tree.flat import FlatWeights
 
 
 class TestShapeInterning:
     def test_identical_leaves_share_one_shape(self):
         cache = ShapeCache()
-        ft = FlatTree.from_tree(flat_tree(1, [2, 2, 2, 2]))
+        ft = FlatWeights(flat_tree(1, [2, 2, 2, 2]))
         shapes = cache.shape_ids(ft)
         assert len(set(shapes[1:])) == 1  # all leaves weigh 2
         assert shapes[0] not in shapes[1:]
@@ -18,22 +18,22 @@ class TestShapeInterning:
     def test_duplicated_templates_intern_to_few_shapes(self):
         tree = duplicated_subtree_tree(50, template_size=20, seed=1, distinct_templates=3)
         cache = ShapeCache()
-        shapes = cache.shape_ids(FlatTree.from_tree(tree))
+        shapes = cache.shape_ids(FlatWeights(tree))
         # 50 record anchors but only 3 distinct templates: the number of
         # distinct shapes is bounded by the template contents, not copies.
         assert len(set(shapes)) < len(tree) / 10
 
     def test_shape_depends_on_weight_and_child_order(self):
         cache = ShapeCache()
-        a = cache.shape_ids(FlatTree.from_tree(flat_tree(1, [1, 2])))
-        b = cache.shape_ids(FlatTree.from_tree(flat_tree(1, [2, 1])))
+        a = cache.shape_ids(FlatWeights(flat_tree(1, [1, 2])))
+        b = cache.shape_ids(FlatWeights(flat_tree(1, [2, 1])))
         assert a[0] != b[0]  # sibling order matters
         assert a[1] == b[2] and a[2] == b[1]  # but the leaves are shared
 
     def test_interning_is_stable_across_trees(self):
         cache = ShapeCache()
-        first = cache.shape_ids(FlatTree.from_tree(chain_tree([1, 1, 1])))
-        second = cache.shape_ids(FlatTree.from_tree(chain_tree([1, 1, 1])))
+        first = cache.shape_ids(FlatWeights(chain_tree([1, 1, 1])))
+        second = cache.shape_ids(FlatWeights(chain_tree([1, 1, 1])))
         assert first == second
 
 
@@ -63,10 +63,10 @@ class TestRecordCache:
         # together once the intern table outgrows its bound.
         cache = ShapeCache(max_entries=1)
         tree = random_tree(30, seed=3)
-        shapes = cache.shape_ids(FlatTree.from_tree(tree))
+        shapes = cache.shape_ids(FlatWeights(tree))
         cache.put(("dhw", shapes[0], 9, False), "stale")
         assert len(cache._intern) > 4 * cache.max_entries
-        cache.shape_ids(FlatTree.from_tree(chain_tree([1])))  # triggers reset
+        cache.shape_ids(FlatWeights(chain_tree([1])))  # triggers reset
         assert len(cache) == 0
         assert len(cache._intern) <= 2
 
@@ -140,10 +140,9 @@ class TestThreadIsolation:
         import sys
         import threading
 
-        from repro.tree.flat import FlatTree
         from repro.tree.builders import flat_tree
 
-        ft = FlatTree.from_tree(flat_tree(1, [2, 2, 2, 2]))
+        ft = FlatWeights(flat_tree(1, [2, 2, 2, 2]))
         probes = 2_000
         results = {}
         previous = sys.getswitchinterval()
