@@ -2,7 +2,7 @@
 #
 #   make verify       # everything below, in order
 #   make lint         # ruff + mypy when installed (skipped with a notice otherwise)
-#   make test         # tier-1 pytest suite; its test_lint_clean.py is the repro-lint gate
+#   make test         # tier-1 pytest suite; its test_lint_clean.py is the repro lint gate
 #   make bench        # the BENCHMARK.json benchmark at --smoke size + its self-check
 #   make faults-smoke # small fault-injection matrix (crash/bitflip/torn)
 #   make chaos-smoke  # WAL crash-matrix slice: kill update flushes, recover, diff
@@ -34,7 +34,7 @@ lint:
 		echo "lint: mypy not installed, skipping"; \
 	fi
 
-# Tier-1, which includes the one repro-lint gate
+# Tier-1, which includes the one repro lint gate
 # (tests/analysis/test_lint_clean.py: every pass over src/repro, zero
 # findings) and the linear-work counters (tests/test_linear_work.py).
 test:
@@ -48,10 +48,10 @@ bench:
 	$(PYTHON) benchmarks/e2e/selfcheck.py
 
 faults-smoke:
-	$(PYTHON) -m repro.faults.cli --scale 0.002 --crash-points 2 --flip-pages 2
+	$(PYTHON) -m repro faults --scale 0.002 --crash-points 2 --flip-pages 2
 
 chaos-smoke:
-	$(PYTHON) -m repro.faults.cli --updates --crash-points 2 --batches 2 --ops-per-batch 8
+	$(PYTHON) -m repro faults --updates --crash-points 2 --batches 2 --ops-per-batch 8
 
 service-smoke:
 	$(PYTHON) -m repro.service.smoke

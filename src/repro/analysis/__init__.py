@@ -1,4 +1,4 @@
-"""Static analysis and runtime contract checking (``repro-lint``).
+"""Static analysis and runtime contract checking (``repro lint``).
 
 This package is the correctness net around the partitioning system:
 
@@ -7,7 +7,7 @@ This package is the correctness net around the partitioning system:
 * :mod:`repro.analysis.recursion` — unbounded-recursion (cycle)
   detection over that graph, iterative Tarjan SCCs.
 * :mod:`repro.analysis.passes` / :mod:`repro.analysis.rules` — the lint
-  pass framework and the repo-specific rules behind ``repro-lint``.
+  pass framework and the repo-specific rules behind ``repro lint``.
 * :mod:`repro.analysis.dataflow` — module-level def-use/escape analysis
   (shared state, lock regions) over the call graph.
 * :mod:`repro.analysis.concurrency` — the CC rule family (guarded
@@ -15,7 +15,8 @@ This package is the correctness net around the partitioning system:
 * :mod:`repro.analysis.contracts` — runtime verification that every
   algorithm's output is a feasible sibling partitioning and that the
   input tree survives untouched (``REPRO_CHECK_INVARIANTS=1``).
-* :mod:`repro.analysis.cli` — the ``repro-lint`` entry point.
+* :mod:`repro.analysis.cli` — the ``repro lint`` verb (its pragmas keep
+  the ``# repro-lint:`` spelling).
 
 Linear time is not a lint rule: ``tests/test_linear_work.py`` measures
 every pipeline stage's work at two input sizes. See ``docs/ANALYSIS.md``

@@ -1,16 +1,16 @@
-"""The ``repro-lint`` command line.
+"""The ``repro lint`` verb.
 
 ::
 
-    repro-lint src/repro                  # all passes, text output
-    repro-lint --select REC001 src/repro  # recursion cycles only
-    repro-lint --select CC,RB src/repro   # whole rule families by prefix
-    repro-lint --ignore BAN003 path/      # everything but float-weights
-    repro-lint --list-passes              # what runs, with descriptions
-    repro-lint --format json src/repro    # machine-readable findings
+    repro lint src/repro                  # all passes, text output
+    repro lint --select REC001 src/repro  # recursion cycles only
+    repro lint --select CC,RB src/repro   # whole rule families by prefix
+    repro lint --ignore BAN003 path/      # everything but float-weights
+    repro lint --list-passes              # what runs, with descriptions
+    repro lint --format json src/repro    # machine-readable findings
 
 Exit status: 0 clean, 1 violations found, 2 usage or analysis error.
-The test suite gates on ``repro-lint src/repro`` exiting 0, so every
+The test suite gates on ``repro lint src/repro`` exiting 0, so every
 change runs under the analyzer; there is no baseline of accepted
 findings.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.analysis.passes import (
     Violation,
@@ -69,15 +69,7 @@ def _render_report(
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description=(
-            "Static invariant analyzer for the repro codebase: recursion "
-            "cycles, float slot weights, observability, robustness and "
-            "hot-loop rules, and concurrency-safety (CC) dataflow rules."
-        ),
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("paths", nargs="*", help="files or directories to analyze")
     parser.add_argument(
         "--select",
@@ -98,8 +90,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--list-passes", action="store_true", help="list registered passes and exit"
     )
-    args = parser.parse_args(argv)
+    parser.set_defaults(usage=parser.format_usage())
 
+
+def run(args: argparse.Namespace) -> int:
     if args.list_passes:
         for cls in available_passes():
             print(f"{cls.code}  {cls.name}")
@@ -107,8 +101,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CLEAN
 
     if not args.paths:
-        parser.print_usage(sys.stderr)
-        print("repro-lint: error: no paths given", file=sys.stderr)
+        sys.stderr.write(args.usage)
+        print("repro lint: error: no paths given", file=sys.stderr)
         return EXIT_ERROR
 
     # A typo'd code must not turn the lint gate into a vacuous pass.
@@ -122,7 +116,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ]
     if unknown:
         print(
-            f"repro-lint: error: unknown pass code(s): {', '.join(unknown)} "
+            f"repro lint: error: unknown pass code(s): {', '.join(unknown)} "
             f"(known: {', '.join(sorted(known))})",
             file=sys.stderr,
         )
@@ -131,7 +125,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         result = run_lint(args.paths, select=select, ignore=ignore)
     except (ReproError, OSError, SyntaxError) as exc:
-        print(f"repro-lint: error: {exc}", file=sys.stderr)
+        print(f"repro lint: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     print(
@@ -140,7 +134,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     )
     return EXIT_VIOLATIONS if result.violations else EXIT_CLEAN
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

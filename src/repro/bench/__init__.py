@@ -6,7 +6,7 @@
   KM vs EKM layouts).
 * :mod:`repro.bench.ablations` — the A1–A4 ablations from DESIGN.md
   (K sweep, DP memoization, optimality gap, spill threshold).
-* :mod:`repro.bench.cli` — ``python -m repro.bench <experiment>``.
+* :mod:`repro.bench.cli` — the ``repro bench <experiment>`` verb.
 
 Every experiment prints measured values next to the paper's reported
 numbers; EXPERIMENTS.md archives one full run.

@@ -1,13 +1,13 @@
-"""Command-line entry point: ``python -m repro.bench`` / ``repro-bench``.
+"""The ``repro bench`` verb: regenerate the paper's tables and the ablations.
 
-Subcommands regenerate the paper's tables and the ablations::
+::
 
-    repro-bench table1 [--scale 1.0] [--limit 256] [--skip-dhw]
-    repro-bench table2 [--scale 1.0] [--limit 256] [--skip-dhw]
-    repro-bench table3 [--xmark-scale 0.02] [--limit 256]
-    repro-bench figures
-    repro-bench ablations [--scale 0.5]
-    repro-bench all
+    repro bench table1 [--scale 1.0] [--limit 256] [--skip-dhw]
+    repro bench table2 [--scale 1.0] [--limit 256] [--skip-dhw]
+    repro bench table3 [--xmark-scale 0.02] [--limit 256]
+    repro bench figures
+    repro bench ablations [--scale 0.5]
+    repro bench all
 
 DHW is the optimal but slowest algorithm (the whole point of Table 2);
 ``--skip-dhw`` keeps quick runs quick.
@@ -16,8 +16,6 @@ DHW is the optimal but slowest algorithm (the whole point of Table 2);
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import Optional, Sequence
 
 from repro.bench.ablations import (
     format_gap,
@@ -58,19 +56,16 @@ def _run_tables(args: argparse.Namespace, which: str) -> str:
     return format_table1(rows) + "\n\n" + format_table2(rows)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Regenerate the evaluation tables of Kanne & Moerkotte (VLDB 2006).",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("experiment", choices=["table1", "table2", "table3", "figures", "ablations", "all"])
     parser.add_argument("--scale", type=float, default=1.0, help="corpus scale factor (1.0 = defaults, ~1/10 of the paper's documents)")
     parser.add_argument("--limit", type=int, default=256, help="weight limit K in slots (paper: 256)")
     parser.add_argument("--xmark-scale", type=float, default=0.02, help="XMark scale for table3 (paper: 0.1)")
     parser.add_argument("--skip-dhw", action="store_true", help="skip the slow optimal algorithm")
     parser.add_argument("--extended", action="store_true", help="also run the extended (post-Table-3) query set")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
     out: list[str] = []
     if args.experiment in ("table1", "table2"):
         out.append(_run_tables(args, args.experiment))
@@ -97,7 +92,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out.insert(0, _run_tables(args, "both"))
     print("\n\n".join(out))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

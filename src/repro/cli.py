@@ -1,6 +1,6 @@
-"""User-facing command line: partition, import and query XML documents.
+"""The ``repro`` command: one argparse tree, one verb per task.
 
-Installed as ``repro`` (see pyproject)::
+Installed as ``repro`` (see pyproject; ``python -m repro`` is the same)::
 
     repro partition doc.xml --algorithm ekm --limit 256 [--render]
     repro import doc.xml --algorithm ekm --spill-threshold 2048
@@ -9,16 +9,23 @@ Installed as ``repro`` (see pyproject)::
     repro stats doc.xml --algorithm ekm --query "//keyword" [--json]
     repro serve --port 8080 --max-concurrency 64
     repro recover journals/store.wal [--trim] [--json]
+    repro bench table1 --skip-dhw
+    repro explain doc.xml --alg dhw --alg ghdw [--json]
+    repro faults [--updates] [--full]
+    repro lint src/repro
 
 ``repro compare`` runs every registered heuristic on the document and
 prints a Table-1-style summary; ``repro stats`` runs a full
 partition/import/store/query pipeline under an enabled telemetry
-registry and dumps every metric it collected;
-``repro-bench`` (the separate entry point) regenerates the paper's
-experiments on the synthetic corpus.
+registry and dumps every metric it collected; ``repro explain`` prints
+why each partition exists. ``bench`` (the paper's experiments),
+``faults`` (the fault-injection matrix) and ``lint`` (the static
+analyzer) keep their arguments and bodies in :mod:`repro.bench.cli`,
+:mod:`repro.faults.cli` and :mod:`repro.analysis.cli`. A
+:class:`ReproError` or a missing file exits 1 with ``error:`` on stderr.
 
 All wall-clock timing goes through :mod:`repro.telemetry` spans — manual
-``time.perf_counter()`` arithmetic is flagged by ``repro-lint`` (OBS001).
+``time.perf_counter()`` arithmetic is flagged by ``repro lint`` (OBS001).
 """
 
 from __future__ import annotations
@@ -29,10 +36,19 @@ import sys
 from typing import Optional, Sequence
 
 from repro import telemetry
+from repro.analysis import cli as lint_cli
+from repro.bench import cli as bench_cli
 from repro.bulkload import BulkLoader
 from repro.errors import ReproError
-from repro.partition import available_algorithms, evaluate_partitioning, get_algorithm
+from repro.faults import cli as faults_cli
+from repro.partition import (
+    available_algorithms,
+    evaluate_partitioning,
+    explain_partition,
+    get_algorithm,
+)
 from repro.partition.analysis import analyze_partitioning
+from repro.partition.explain import format_diff, format_explain
 from repro.partition.render import render_partitioning
 from repro.partition.shapecache import default_cache
 from repro.query import run_query, run_query_nodes
@@ -276,11 +292,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 print()
                 print(_format_index(index_report))
             if args.profile:
-                from repro.obsv import build_profile, format_profile
-
                 print()
                 print("profile (self-time per phase):")
-                print(format_profile(build_profile(reg.trace)))
+                print(telemetry.format_profile(telemetry.build_profile(reg.trace)))
             if tracer is not None and args.traces:
                 print()
                 print("traces:")
@@ -314,10 +328,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
                         f"(feed repro.partition.workload.heat_aware_lukes)"
                     )
         if args.chrome_trace:
-            from repro.obsv import export_chrome_trace
-
             with open(args.chrome_trace, "w", encoding="utf-8") as fh:
-                events = export_chrome_trace(fh, reg)
+                events = telemetry.export_chrome_trace(fh, reg)
             print(
                 f"wrote {events} trace events to {args.chrome_trace}", file=sys.stderr
             )
@@ -400,6 +412,32 @@ def cmd_recover(args: argparse.Namespace) -> int:
             )
         print("  clean" if not residue else "  crash residue present")
     return 2 if residue else 0
+
+
+def cmd_explain(args: argparse.Namespace) -> int:
+    """Run each ``--alg`` with decision provenance on and print, per
+    partition, the decision that created it; exactly two algorithms add
+    a side-by-side diff."""
+    tree = parse_tree(args.document)
+    algorithms = args.algorithms or ["ekm"]
+    explains = [explain_partition(tree, args.limit, alg) for alg in algorithms]
+    if args.json:
+        payload = {
+            "document": args.document,
+            "limit": args.limit,
+            "explains": [explain.as_dict() for explain in explains],
+        }
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        print()
+        return 0
+    print(f"document: {args.document} ({len(tree)} nodes), K={args.limit}")
+    for explain in explains:
+        print()
+        print(format_explain(explain, top=args.top))
+    if len(explains) == 2:
+        print()
+        print(format_diff(explains[0], explains[1]))
+    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -619,17 +657,62 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--json", action="store_true", help="print a JSON report")
     p.set_defaults(func=cmd_recover)
 
+    p = sub.add_parser(
+        "bench",
+        help="regenerate the paper's tables, figures and ablations",
+        description="Regenerate the evaluation tables of Kanne & Moerkotte (VLDB 2006).",
+    )
+    bench_cli.add_arguments(p)
+    p.set_defaults(func=bench_cli.run)
+
+    p = sub.add_parser(
+        "explain",
+        help="explain why each partition of a document exists",
+        description="Explain why each partition of a document exists: run one "
+        "or more partitioners with decision provenance enabled and render "
+        "per-partition reports.",
+    )
+    p.add_argument("document", help="path to an XML file")
+    p.add_argument(
+        "--alg",
+        action="append",
+        dest="algorithms",
+        metavar="NAME",
+        help="algorithm to explain (repeatable; default: ekm)",
+    )
+    p.add_argument(
+        "--limit", type=int, default=256, help="weight limit K in slots (default: 256)"
+    )
+    p.add_argument(
+        "--top", type=int, default=5, help="show the N heaviest partitions (default: 5)"
+    )
+    p.add_argument(
+        "--json", action="store_true", help="emit machine-readable JSON instead of text"
+    )
+    p.set_defaults(func=cmd_explain)
+
+    p = sub.add_parser(
+        "faults",
+        help="run the fault-injection matrix (docs/ROBUSTNESS.md)",
+        description="deterministic fault-injection matrix: crash/resume "
+        "at spill boundaries, bit-flips on read, torn writes",
+    )
+    faults_cli.add_arguments(p)
+    p.set_defaults(func=faults_cli.run)
+
+    p = sub.add_parser(
+        "lint",
+        help="run the static invariant analyzer (docs/ANALYSIS.md)",
+        description="Static invariant analyzer for the repro codebase: recursion "
+        "cycles, float slot weights, observability, robustness and "
+        "hot-loop rules, and concurrency-safety (CC) dataflow rules.",
+    )
+    lint_cli.add_arguments(p)
+    p.set_defaults(func=lint_cli.run)
+
     args = parser.parse_args(argv)
-    # `query` puts xpath after document; reorder handled by argparse
     try:
         return args.func(args)
-    except ReproError as exc:
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -9,7 +9,7 @@ The robustness harness of the repo (see ``docs/ROBUSTNESS.md``):
   process, mirroring ``REPRO_TELEMETRY`` / ``REPRO_CHECK_INVARIANTS``,
 * :func:`run_fault_matrix` — the end-to-end kill/resume and bit-flip
   matrix (module :mod:`repro.faults.matrix`), also exposed as the
-  ``repro-faults`` command line (:mod:`repro.faults.cli`).
+  ``repro faults`` verb (:mod:`repro.faults.cli`).
 
 With no plan armed every fault hook is one ``is None`` check — the same
 no-op fast-path discipline as :mod:`repro.telemetry`.

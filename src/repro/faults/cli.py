@@ -1,14 +1,14 @@
-"""``repro-faults`` — run the fault-injection matrix from the shell.
+"""The ``repro faults`` verb: run the fault-injection matrix from the shell.
 
 Examples::
 
-    repro-faults                          # smoke matrix (sampled points)
-    repro-faults --full                   # every spill boundary and page
-    repro-faults --updates                # chaos crash matrix for updates
-    repro-faults --updates --full         # kill at every WAL boundary
-    repro-faults --algorithm rs -K 32     # different import configuration
-    repro-faults --list-points            # every named fault point
-    repro-faults document.xml             # your own document
+    repro faults                          # smoke matrix (sampled points)
+    repro faults --full                   # every spill boundary and page
+    repro faults --updates                # chaos crash matrix for updates
+    repro faults --updates --full         # kill at every WAL boundary
+    repro faults --algorithm rs -K 32     # different import configuration
+    repro faults --list-points            # every named fault point
+    repro faults document.xml             # your own document
 
 Exit status is 0 only when every scenario passed, so the command slots
 directly into ``make verify`` (the *faults-smoke* and *chaos-smoke*
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Any
 
 from repro.faults.matrix import run_fault_matrix, run_update_crash_matrix
 from repro.faults.plan import FAULT_POINTS
@@ -28,12 +28,7 @@ from repro.faults.plan import FAULT_POINTS
 _FULL = 1 << 20
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-faults",
-        description="deterministic fault-injection matrix: crash/resume "
-        "at spill boundaries, bit-flips on read, torn writes",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "document",
         nargs="?",
@@ -61,8 +56,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--scale",
         type=float,
-        default=0.004,
-        help="XMark scale for the generated document (default: 0.004)",
+        default=None,
+        help="XMark scale for the generated document (default: 0.004; "
+        "0.002 with --updates)",
     )
     parser.add_argument(
         "--crash-points",
@@ -109,8 +105,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "-q", "--quiet", action="store_true", help="print failures only"
     )
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
     if args.list_points:
         for point in FAULT_POINTS:
             print(point)
@@ -121,6 +118,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.document, encoding="utf-8") as handle:
             source = handle.read()
 
+    # without --scale each matrix generates its own default size
+    sized: dict[str, Any] = {} if args.scale is None else {"scale": args.scale}
     if args.updates:
         report = run_update_crash_matrix(
             source=source,
@@ -131,7 +130,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             batches=args.batches,
             ops_per_batch=args.ops_per_batch,
             max_crash_points=_FULL if args.full else args.crash_points,
-            scale=args.scale if args.scale != 0.004 else 0.002,
+            **sized,
         )
     else:
         report = run_fault_matrix(
@@ -142,7 +141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed=args.seed,
             max_crash_points=_FULL if args.full else args.crash_points,
             max_flip_pages=_FULL if args.full else args.flip_pages,
-            scale=args.scale,
+            **sized,
         )
     if args.quiet:
         for scenario in report.failures():
@@ -154,7 +153,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         print(report.summary())
     return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -34,7 +34,7 @@ mid-redo (must be idempotent).
 
 Every scenario is deterministic (seeded plans, fixed document), so a
 failure reproduces exactly from its printed rule spec. The matrix is
-exposed as the ``repro-faults`` command line (:mod:`repro.faults.cli`)
+exposed as the ``repro faults`` verb (:mod:`repro.faults.cli`)
 and a trimmed version runs in ``make verify`` (*faults-smoke* and
 *chaos-smoke*).
 """
@@ -162,7 +162,7 @@ def run_fault_matrix(
     """Run the whole matrix against one document; see the module doc.
 
     ``max_crash_points`` / ``max_flip_pages`` bound the matrix for smoke
-    use; pass large values for the exhaustive run (``repro-faults
+    use; pass large values for the exhaustive run (``repro faults
     --full``).
     """
     if source is None:
@@ -547,7 +547,7 @@ def run_update_crash_matrix(
     """Kill a WAL-logged update workload at every sampled boundary.
 
     ``max_crash_points`` bounds the sweep *per fault point* for smoke
-    use; pass a large value for the exhaustive run (``repro-faults
+    use; pass a large value for the exhaustive run (``repro faults
     --updates --full`` covers every WAL record boundary).
     """
     if source is None:

@@ -13,6 +13,8 @@ Public surface:
   ``rs``, whose cut strategies the bulkloader drives as well.
 * :mod:`repro.partition.fallback` — the graceful-degradation chain
   (``fallback``): tries ``dhw``, then ``ghdw``, then ``dfs``.
+* :mod:`repro.partition.explain` — per-partition decision provenance,
+  recorded at every algorithm's cut sites (``repro explain``).
 """
 
 from repro.partition.interval import SiblingInterval, Partitioning
@@ -27,6 +29,7 @@ from repro.partition.base import (
     ALGORITHMS,
     Partitioner,
     available_algorithms,
+    explain_partition,
     get_algorithm,
     partition_tree,
     register,
@@ -66,6 +69,7 @@ __all__ = [
     "ALGORITHMS",
     "Partitioner",
     "available_algorithms",
+    "explain_partition",
     "get_algorithm",
     "partition_tree",
     "register",

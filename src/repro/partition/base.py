@@ -22,10 +22,11 @@ verification happens *outside* the span so checked-mode sessions do not
 pollute the measured algorithm wall time.
 
 Finally the wrapper is the **provenance hook**: under an active
-:func:`repro.obsv.explain.explain_scope` it joins the decisions the
+:func:`repro.partition.explain.explain_scope` it joins the decisions the
 algorithm recorded (via ``explain.decision(...)`` at its cut sites) with
-generic per-partition facts into a ``PartitionExplain``. Both the join
-and the in-algorithm hooks are guarded no-ops otherwise.
+generic per-partition facts into a ``PartitionExplain``
+(:func:`explain_partition` is the one-call form). Both the join and the
+in-algorithm hooks are guarded no-ops otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from repro import telemetry
 from repro.errors import InfeasiblePartitioningError, ReproError
-from repro.obsv import explain
+from repro.partition import explain
 from repro.partition.interval import Partitioning
 from repro.tree.node import Tree
 
@@ -188,3 +189,14 @@ def partition_tree(
     is forwarded to :meth:`Partitioner.partition`.
     """
     return get_algorithm(algorithm).partition(tree, limit, check=check)
+
+
+def explain_partition(
+    tree: Tree, limit: int, algorithm: str = "ekm"
+) -> explain.PartitionExplain:
+    """Partition ``tree`` with a named algorithm and return the provenance."""
+    with explain.explain_scope() as collector:
+        get_algorithm(algorithm).partition(tree, limit)
+    result = collector.explain_for(algorithm)
+    assert result is not None  # partition() always records under a scope
+    return result

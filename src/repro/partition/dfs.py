@@ -13,7 +13,7 @@ losing even to KM on several documents.
 
 from __future__ import annotations
 
-from repro.obsv import explain
+from repro.partition import explain
 from repro.partition.base import Partitioner, register
 from repro.partition.interval import Partitioning
 from repro.partition.assignment import intervals_from_assignment

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import telemetry
-from repro.obsv import explain
+from repro.partition import explain
 from repro.partition.base import Partitioner, register, reject_overweight
 from repro.partition.flatdp import DELTA, NEAR_CHAIN, OPT_CHAIN, OPT_RW, Record, solve_shape
 from repro.partition.interval import Partitioning, SiblingInterval

@@ -9,11 +9,13 @@ as :mod:`repro.telemetry`: one attribute load and a falsy branch — and
 record a :class:`Decision` per created interval while an
 :func:`explain_scope` is active.
 
-`Partitioner.partition` then joins the recorded decisions with the
-per-partition facts it can compute generically (weight, fill ratio,
-sibling-interval bounds, tree depth, member count) into one
-:class:`PartitionExplain` per run. ``repro-explain`` renders these as
-fill-ratio histograms and side-by-side algorithm diffs.
+`Partitioner.partition` (:mod:`repro.partition.base`) then joins the
+recorded decisions with the per-partition facts it can compute
+generically (weight, fill ratio, sibling-interval bounds, tree depth,
+member count) into one :class:`PartitionExplain` per run;
+:func:`~repro.partition.base.explain_partition` is the one-call form.
+``repro explain`` renders these as fill-ratio histograms and
+side-by-side algorithm diffs.
 
 Decisions are keyed by the interval's *left* node id — the left endpoints
 of a (disjoint) sibling partitioning are unique, and every hook site
@@ -25,6 +27,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
+
+from repro.partition.evaluate import partition_weights
 
 #: active collector — the no-op fast path checks this first
 _collector: Optional["ExplainCollector"] = None
@@ -202,10 +206,6 @@ def finish_run(algorithm: str, tree, result, limit: int) -> Optional[PartitionEx
     """
     if _collector is None:
         return None
-    # Local imports: repro.partition.base imports this module, so the
-    # reverse dependency must stay call-time only.
-    from repro.partition.evaluate import partition_weights
-
     depths = _node_depths(tree)
     weights = partition_weights(tree, result)
     decisions = _collector.decisions
@@ -247,19 +247,8 @@ def _node_depths(tree) -> list[int]:
     return depths
 
 
-def explain_partition(tree, limit: int, algorithm: str = "ekm") -> PartitionExplain:
-    """One-call convenience: partition ``tree`` and return the provenance."""
-    from repro.partition import get_algorithm
-
-    with explain_scope() as collector:
-        get_algorithm(algorithm).partition(tree, limit)
-    explain = collector.explain_for(algorithm)
-    assert explain is not None  # partition() always records under a scope
-    return explain
-
-
 # ---------------------------------------------------------------------------
-# Rendering (the `repro-explain` output)
+# Rendering (the `repro explain` output)
 # ---------------------------------------------------------------------------
 
 _BAR_WIDTH = 30

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import TreeError
-from repro.obsv import explain
+from repro.partition import explain
 from repro.partition.base import Partitioner, register, reject_overweight
 from repro.partition.flatdp import OPT_CHAIN, solve_shape
 from repro.partition.interval import Partitioning, SiblingInterval

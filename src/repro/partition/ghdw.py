@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import telemetry
-from repro.obsv import explain
+from repro.partition import explain
 from repro.partition.base import Partitioner, register, reject_overweight
 from repro.partition.flatdp import OPT_CHAIN, OPT_RW, solve_shape
 from repro.partition.interval import Partitioning, SiblingInterval

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.obsv import explain
+from repro.partition import explain
 from repro.partition.base import Partitioner, register
 from repro.partition.interval import Partitioning, SiblingInterval
 from repro.tree.node import Tree, TreeNode

@@ -33,7 +33,7 @@ import math
 from typing import Callable, Optional
 
 from repro.errors import InfeasiblePartitioningError
-from repro.obsv import explain
+from repro.partition import explain
 from repro.partition.base import Partitioner, register, reject_overweight
 from repro.partition.interval import Partitioning, SiblingInterval
 from repro.tree.flat import FlatWeights

@@ -287,7 +287,7 @@ class ServiceClient:
     def debug_trace(self, trace_id: str, chrome: bool = False) -> dict[str, Any]:
         """One sampled trace; ``chrome=True`` fetches the Chrome-trace
         JSON payload (round-trips through
-        :func:`repro.obsv.chrometrace.load_chrome_trace`)."""
+        :func:`repro.telemetry.load_chrome_trace`)."""
         params = {"format": "chrome"} if chrome else None
         return self.request_json(
             "GET", f"/debug/traces/{trace_id}", params=params

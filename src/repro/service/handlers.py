@@ -23,7 +23,6 @@ import json
 from typing import TYPE_CHECKING
 
 from repro import telemetry
-from repro.obsv.chrometrace import CHROME_SCHEMA, chrome_trace_events
 from repro.service.middleware import (
     DocumentNotFoundError,
     Request,
@@ -230,9 +229,9 @@ class Handlers:
     async def debug_trace(self, request: Request) -> Response:
         """``GET /debug/traces/{trace_id}[?format=chrome]`` — one span tree.
 
-        ``?format=chrome`` renders the trace through the PR 4
+        ``?format=chrome`` renders the trace through the telemetry
         Chrome-trace exporter: the payload round-trips through
-        :func:`repro.obsv.chrometrace.load_chrome_trace` and opens in
+        :func:`repro.telemetry.load_chrome_trace` and opens in
         ``chrome://tracing`` / Perfetto.
         """
         tracer = self._tracer()
@@ -246,10 +245,10 @@ class Handlers:
         fmt = request.params.get("format")
         if fmt in ("chrome", "perfetto"):
             payload = {
-                "traceEvents": chrome_trace_events(trace.spans),
+                "traceEvents": telemetry.chrome_trace_events(trace.spans),
                 "displayTimeUnit": "ms",
                 "otherData": {
-                    "schema": CHROME_SCHEMA,
+                    "schema": telemetry.CHROME_SCHEMA,
                     "trace_id": trace.trace_id,
                 },
             }

@@ -13,7 +13,7 @@ import io
 import json
 import sys
 
-from repro.obsv.chrometrace import load_chrome_trace
+from repro.telemetry import load_chrome_trace
 from repro.service.app import ServiceConfig, ServiceThread
 from repro.service.client import ServiceClient, ServiceClientError
 

@@ -10,7 +10,11 @@ The measurement substrate of the repo (see ``docs/TELEMETRY.md``):
   :class:`JsonLinesSink`) and schema-versioned exports
   (:func:`snapshot`, :func:`export_jsonl`, :func:`load_jsonl`),
 * an environment fingerprint for baseline files
-  (:func:`environment_fingerprint`).
+  (:func:`environment_fingerprint`),
+* Chrome-trace / Perfetto export of span records
+  (:func:`export_chrome_trace`, :func:`load_chrome_trace`) and a
+  deterministic self-time profile over the span tree
+  (:func:`build_profile`, :func:`format_profile`).
 
 Instrumentation hooks live in the hot layers themselves —
 ``Partitioner.partition``, the storage engine's buffer pool and record
@@ -60,15 +64,25 @@ from repro.telemetry.core import (
 )
 from repro.telemetry.env import environment_fingerprint
 from repro.telemetry.export import (
+    CHROME_SCHEMA,
     PROMETHEUS_CONTENT_TYPE,
     SCHEMA,
+    chrome_trace_events,
+    export_chrome_trace,
     export_jsonl,
     format_metrics,
+    load_chrome_trace,
     load_jsonl,
     prometheus_text,
     snapshot,
 )
 from repro.telemetry.heat import DocumentHeat, HeatAccumulator, HeatProfile
+from repro.telemetry.profile import (
+    ProfileNode,
+    build_profile,
+    format_profile,
+    profile_registry,
+)
 from repro.telemetry.trace import (
     SlowQuery,
     Trace,
@@ -78,6 +92,7 @@ from repro.telemetry.trace import (
 )
 
 __all__ = [
+    "CHROME_SCHEMA",
     "Counter",
     "DocumentHeat",
     "Gauge",
@@ -87,6 +102,7 @@ __all__ = [
     "JsonLinesSink",
     "MetricRegistry",
     "PROMETHEUS_CONTENT_TYPE",
+    "ProfileNode",
     "SCHEMA",
     "Sink",
     "SlowQuery",
@@ -95,7 +111,9 @@ __all__ = [
     "Trace",
     "TraceContext",
     "Tracer",
+    "build_profile",
     "capture",
+    "chrome_trace_events",
     "clock",
     "count",
     "current_span",
@@ -105,15 +123,19 @@ __all__ = [
     "enabled",
     "enabled_scope",
     "environment_fingerprint",
+    "export_chrome_trace",
     "export_jsonl",
     "format_metrics",
+    "format_profile",
     "format_trace",
     "gauge_max",
     "gauge_set",
+    "load_chrome_trace",
     "load_jsonl",
     "next_span_id",
     "observe",
     "parse_traceparent",
+    "profile_registry",
     "prometheus_text",
     "registry",
     "reset_trace",

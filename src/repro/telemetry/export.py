@@ -12,16 +12,19 @@ of rotting silently:
 * :func:`format_metrics` — the table the ``repro stats`` subcommand
   prints;
 * :func:`prometheus_text` — the Prometheus/OpenMetrics text exposition
-  served by ``GET /metrics`` and ``repro stats --prom``.
+  served by ``GET /metrics`` and ``repro stats --prom``;
+* :func:`export_chrome_trace` / :func:`load_chrome_trace` — span records
+  as Chrome-trace / Perfetto JSON (``repro stats --chrome-trace`` and the
+  service's ``/debug/traces/{id}?format=chrome``).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, TextIO
+from typing import Any, Mapping, Optional, TextIO, Union
 
 from repro.errors import ReproError
-from repro.telemetry.core import MetricRegistry, registry as _default_registry
+from repro.telemetry.core import MetricRegistry, SpanRecord, registry as _default_registry
 
 #: bump when the snapshot/JSONL layout changes incompatibly
 SCHEMA = "repro-telemetry/1"
@@ -251,3 +254,109 @@ def format_metrics(reg: Optional[MetricRegistry] = None) -> str:
     if not sections:
         return "no metrics recorded (is telemetry enabled?)"
     return "\n\n".join(sections)
+
+
+# ---------------------------------------------------------------------------
+# Chrome trace (``chrome://tracing`` / https://ui.perfetto.dev)
+#
+# Every completed span carries its ``perf_counter()`` entry reading
+# (``SpanRecord.start``), so a registry trace converts losslessly into
+# Chrome's JSON-object trace format using *complete* events (``"ph": "X"``).
+# Timestamps are re-based to the earliest span in the trace (Chrome wants
+# microseconds from an arbitrary epoch), span attributes and the nesting
+# path travel in ``args``, and the registry's counters are attached as
+# process metadata so a trace file is self-describing.
+# ---------------------------------------------------------------------------
+
+#: schema marker stored in the trace's otherData block
+CHROME_SCHEMA = "repro-chrome-trace/1"
+
+Record = Union[SpanRecord, Mapping[str, Any]]
+
+
+def _as_mapping(record: Record) -> Mapping[str, Any]:
+    if isinstance(record, SpanRecord):
+        return record.as_dict()
+    return record
+
+
+def chrome_trace_events(records, pid: int = 1, tid: int = 1) -> list[dict[str, Any]]:
+    """Convert span records into Chrome *complete* events.
+
+    Accepts live :class:`SpanRecord` objects or dicts loaded from a JSONL
+    export. Event order follows the input (completion order); viewers
+    re-sort by timestamp anyway.
+    """
+    mapped = [_as_mapping(r) for r in records]
+    if not mapped:
+        return []
+    epoch = min(float(m.get("start", 0.0)) for m in mapped)
+    events: list[dict[str, Any]] = []
+    for m in mapped:
+        args: dict[str, Any] = {"path": m["path"], "depth": m["depth"]}
+        if m.get("error") is not None:
+            args["error"] = m["error"]
+        args.update(m.get("attrs") or {})
+        events.append(
+            {
+                "name": m["name"],
+                "cat": "repro",
+                "ph": "X",
+                "ts": (float(m.get("start", 0.0)) - epoch) * 1e6,
+                "dur": float(m["seconds"]) * 1e6,
+                "pid": pid,
+                "tid": tid,
+                "args": args,
+            }
+        )
+    return events
+
+
+def export_chrome_trace(
+    stream: TextIO, reg: Optional[MetricRegistry] = None, indent: Optional[int] = None
+) -> int:
+    """Write the registry's trace as a Chrome trace JSON object.
+
+    Returns the number of trace events written. Counters ride along as
+    ``otherData`` so the file identifies its workload without the
+    matching metrics export.
+    """
+    reg = reg if reg is not None else _default_registry()
+    payload = {
+        "traceEvents": chrome_trace_events(reg.trace),
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "schema": CHROME_SCHEMA,
+            "dropped_spans": reg.dropped_spans,
+            "counters": {name: c.value for name, c in sorted(reg.counters.items())},
+        },
+    }
+    json.dump(payload, stream, indent=indent, sort_keys=True)
+    stream.write("\n")
+    return len(payload["traceEvents"])
+
+
+def load_chrome_trace(stream: TextIO) -> list[dict[str, Any]]:
+    """Parse a Chrome trace written by :func:`export_chrome_trace`.
+
+    Returns the event list; raises :class:`ReproError` on malformed input
+    or a foreign/missing schema marker, so stale or third-party traces
+    fail loudly instead of being half-read.
+    """
+    try:
+        payload = json.load(stream)
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"invalid chrome trace JSON: {exc}") from None
+    if not isinstance(payload, dict) or "traceEvents" not in payload:
+        raise ReproError("chrome trace has no traceEvents array")
+    schema = payload.get("otherData", {}).get("schema")
+    if schema != CHROME_SCHEMA:
+        raise ReproError(
+            f"chrome trace schema mismatch: file has {schema!r}, reader expects {CHROME_SCHEMA!r}"
+        )
+    events = payload["traceEvents"]
+    for idx, event in enumerate(events):
+        for key in ("name", "ph", "ts", "dur"):
+            if key not in event:
+                raise ReproError(f"chrome trace event {idx} is missing {key!r}")
+    return events

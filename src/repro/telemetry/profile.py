@@ -11,17 +11,17 @@ The profile is a pure function of the recorded spans: aggregation,
 tie-breaking and rendering order are fully deterministic, so two runs of
 the same workload produce byte-identical *structure* (only the measured
 seconds differ). Works on live :class:`~repro.telemetry.SpanRecord`
-objects and on dict records loaded back from a JSONL export.
+objects and on dict records loaded back from a JSONL export
+(``repro stats --profile`` prints it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional
 
 from repro.telemetry.core import MetricRegistry, SpanRecord, registry as _default_registry
-
-Record = Union[SpanRecord, Mapping[str, Any]]
+from repro.telemetry.export import Record
 
 
 @dataclass

@@ -12,6 +12,7 @@ import re
 
 from repro.analysis import cli
 from repro.analysis.passes import available_passes, run_lint
+from repro.cli import main
 
 from tests.analysis.conftest import REPO_SRC
 
@@ -28,7 +29,7 @@ def test_repro_lint_src_repro_is_clean():
 
 
 def test_cli_gate_exits_zero(capsys):
-    assert cli.main([str(REPO_SRC)]) == cli.EXIT_CLEAN
+    assert main(["lint", str(REPO_SRC)]) == cli.EXIT_CLEAN
     assert "clean" in capsys.readouterr().out
 
 

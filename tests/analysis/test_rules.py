@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 from repro.analysis import cli
+from repro.cli import main
 from repro.analysis.passes import available_passes, run_lint
 
 from tests.analysis.conftest import FIXTURES, seed_lines
@@ -481,14 +482,14 @@ class TestSelection:
 
 class TestCli:
     def test_violations_exit_code_and_text_output(self, capsys):
-        assert cli.main([str(FIXTURES)]) == cli.EXIT_VIOLATIONS
+        assert main(["lint", str(FIXTURES)]) == cli.EXIT_VIOLATIONS
         out = capsys.readouterr().out
         assert "seeded_swallow.py" in out
         assert "RB001" in out
         assert "violation(s)" in out
 
     def test_json_format(self, capsys):
-        assert cli.main(["--format", "json", str(FIXTURES)]) == cli.EXIT_VIOLATIONS
+        assert main(["lint", "--format", "json", str(FIXTURES)]) == cli.EXIT_VIOLATIONS
         payload = json.loads(capsys.readouterr().out)
         assert payload["files_checked"] >= 3
         codes = {v["code"] for v in payload["violations"]}
@@ -497,30 +498,30 @@ class TestCli:
         assert set(sample) == {"path", "line", "code", "message"}
 
     def test_select_filter(self, capsys):
-        assert cli.main(["--select", "RB001", str(FIXTURES)]) == cli.EXIT_VIOLATIONS
+        assert main(["lint", "--select", "RB001", str(FIXTURES)]) == cli.EXIT_VIOLATIONS
         out = capsys.readouterr().out
         assert "RB001" in out
         assert "REC001" not in out
 
     def test_unknown_code_is_usage_error_not_vacuous_pass(self, capsys):
-        assert cli.main(["--select", "NOPE99", str(FIXTURES)]) == cli.EXIT_ERROR
+        assert main(["lint", "--select", "NOPE99", str(FIXTURES)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert "NOPE99" in err and "REC001" in err
-        assert cli.main(["--ignore", "TYPO", str(FIXTURES)]) == cli.EXIT_ERROR
+        assert main(["lint", "--ignore", "TYPO", str(FIXTURES)]) == cli.EXIT_ERROR
 
     def test_no_paths_is_usage_error(self, capsys):
-        assert cli.main([]) == cli.EXIT_ERROR
+        assert main(["lint"]) == cli.EXIT_ERROR
         assert "no paths" in capsys.readouterr().err
 
     def test_list_passes(self, capsys):
-        assert cli.main(["--list-passes"]) == cli.EXIT_CLEAN
+        assert main(["lint", "--list-passes"]) == cli.EXIT_CLEAN
         out = capsys.readouterr().out
         for code in ("REC001", "BAN003", "RB001", "PERF002", "CC001"):
             assert code in out
 
     def test_clean_directory_exits_zero(self, tmp_path, capsys):
         (tmp_path / "fine.py").write_text("def f():\n    return 1\n")
-        assert cli.main([str(tmp_path)]) == cli.EXIT_CLEAN
+        assert main(["lint", str(tmp_path)]) == cli.EXIT_CLEAN
         assert "clean" in capsys.readouterr().out
 
     @pytest.fixture
@@ -544,13 +545,13 @@ class TestCli:
         return str(target)
 
     def test_family_prefix_select(self, guarded, capsys):
-        assert cli.main(["--select", "CC", guarded]) == cli.EXIT_VIOLATIONS
+        assert main(["lint", "--select", "CC", guarded]) == cli.EXIT_VIOLATIONS
         assert "CC001" in capsys.readouterr().out
-        assert cli.main(["--select", "RB", guarded]) == cli.EXIT_CLEAN
+        assert main(["lint", "--select", "RB", guarded]) == cli.EXIT_CLEAN
 
     def test_family_prefix_ignore(self, guarded):
-        assert cli.main(["--ignore", "CC", guarded]) == cli.EXIT_CLEAN
+        assert main(["lint", "--ignore", "CC", guarded]) == cli.EXIT_CLEAN
 
     def test_unknown_family_prefix_is_usage_error(self, guarded, capsys):
-        assert cli.main(["--select", "ZZ", guarded]) == cli.EXIT_ERROR
+        assert main(["lint", "--select", "ZZ", guarded]) == cli.EXIT_ERROR
         assert "ZZ" in capsys.readouterr().err

@@ -139,20 +139,20 @@ class TestFiguresAndCli:
         assert "GHDW" in text
 
     def test_cli_figures(self, capsys):
-        from repro.bench.cli import main
+        from repro.cli import main
 
-        assert main(["figures"]) == 0
+        assert main(["bench", "figures"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 6" in out
 
     def test_cli_table1_skip_dhw(self, capsys):
-        from repro.bench.cli import main
+        from repro.cli import main
 
-        assert main(["table1", "--skip-dhw", "--scale", "0.05"]) == 0
+        assert main(["bench", "table1", "--skip-dhw", "--scale", "0.05"]) == 0
         assert "Table 1" in capsys.readouterr().out
 
     def test_cli_rejects_unknown(self):
-        from repro.bench.cli import main
+        from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["nonsense"])
+            main(["bench", "nonsense"])

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.bulkload import bulk_import
+from repro.cli import main
+from repro.faults import cli as faults_cli
 from repro.faults.matrix import MatrixReport, FaultScenario, run_fault_matrix, store_fingerprint
 from repro.storage.store import DocumentStore
 
@@ -34,10 +38,44 @@ class TestMatrix:
             assert scenario.name in summary
 
     def test_cli_smoke(self, capsys):
-        from repro.faults.cli import main
-
-        assert main(["--crash-points", "1", "--flip-pages", "1", "--scale", "0.002"]) == 0
+        assert main(["faults", "--crash-points", "1", "--flip-pages", "1", "--scale", "0.002"]) == 0
         assert "scenarios passed" in capsys.readouterr().out
+
+
+class TestCliScale:
+    """``--scale`` reaches the matrix as given; without it each matrix
+    keeps its own default document size."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("run_fault_matrix", "run_update_crash_matrix"):
+            real = getattr(faults_cli, name)
+
+            def fake(*args, _real=real, **kwargs):
+                bound = inspect.signature(_real).bind(*args, **kwargs)
+                bound.apply_defaults()
+                seen.append((_real.__name__, bound.arguments["scale"]))
+                return MatrixReport()
+
+            monkeypatch.setattr(faults_cli, name, fake)
+        return seen
+
+    def test_explicit_default_scale_reaches_update_matrix(self, calls, capsys):
+        assert main(["faults", "--updates", "--scale", "0.004"]) == 0
+        assert calls == [("run_update_crash_matrix", 0.004)]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ([], ("run_fault_matrix", 0.004)),
+            (["--updates"], ("run_update_crash_matrix", 0.002)),
+            (["--scale", "0.002"], ("run_fault_matrix", 0.002)),
+        ],
+    )
+    def test_scale_per_mode(self, calls, capsys, argv, expected):
+        assert main(["faults", *argv]) == 0
+        assert calls == [expected]
 
 
 class TestReportModel:

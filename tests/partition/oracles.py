@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from repro.errors import InfeasiblePartitioningError, TreeError
-from repro.obsv import explain
+from repro.partition import explain
 from repro.partition.base import Partitioner
 from repro.partition.dhw import DHWStats
 from repro.partition.flatdp import (

@@ -18,7 +18,7 @@ from repro.datasets.random_trees import (
     random_flat_tree,
     random_tree,
 )
-from repro.obsv import explain_scope
+from repro.partition.explain import explain_scope
 from repro.partition import dhw as dhw_module
 from repro.partition import get_algorithm
 from repro.partition.dhw import DHWPartitioner

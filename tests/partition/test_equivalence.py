@@ -21,7 +21,7 @@ from repro.datasets.random_trees import (
     star_tree,
 )
 from repro.errors import TreeError
-from repro.obsv.explain import explain_scope
+from repro.partition.explain import explain_scope
 from repro.partition import get_algorithm, partition_tree
 from repro.partition.dhw import DHWPartitioner, dhw_partition
 from repro.partition.fdw import FDWPartitioner, fdw_partition_flat

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from repro.obsv import explain_partition, explain_scope, format_diff, format_explain
-from repro.obsv import explain as explain_mod
-from repro.partition import available_algorithms, get_algorithm
+from repro.partition import available_algorithms, explain_partition, get_algorithm
+from repro.partition import explain as explain_mod
+from repro.partition.explain import explain_scope, format_diff, format_explain
 from repro.tree.builders import flat_tree, tree_from_spec
 
 from tests.conftest import FIG3_SPEC, FIG6_SPEC

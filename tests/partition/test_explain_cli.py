@@ -1,4 +1,4 @@
-"""The ``repro-explain`` entry point."""
+"""The ``repro explain`` verb."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obsv.cli import main
+from repro.cli import main
 from repro.tree.builders import tree_from_spec
 from repro.xmlio import write_xml
 
@@ -22,14 +22,14 @@ def doc(tmp_path_factory):
 
 class TestExplainCli:
     def test_default_algorithm_text_report(self, doc, capsys):
-        assert main([doc, "--limit", "5"]) == 0
+        assert main(["explain", doc, "--limit", "5"]) == 0
         out = capsys.readouterr().out
         assert "ekm:" in out
         assert "fill-ratio histogram" in out
         assert "heaviest" in out
 
     def test_two_algorithms_append_a_diff(self, doc, capsys):
-        assert main([doc, "--limit", "5", "--alg", "dhw", "--alg", "ghdw"]) == 0
+        assert main(["explain", doc, "--limit", "5", "--alg", "dhw", "--alg", "ghdw"]) == 0
         out = capsys.readouterr().out
         assert "dhw:" in out and "ghdw:" in out
         assert "dhw vs ghdw" in out
@@ -37,13 +37,13 @@ class TestExplainCli:
 
     def test_three_algorithms_no_diff_section(self, doc, capsys):
         assert (
-            main([doc, "--limit", "5", "--alg", "dhw", "--alg", "ghdw", "--alg", "ekm"])
+            main(["explain", doc, "--limit", "5", "--alg", "dhw", "--alg", "ghdw", "--alg", "ekm"])
             == 0
         )
         assert " vs " not in capsys.readouterr().out
 
     def test_json_output(self, doc, capsys):
-        assert main([doc, "--limit", "5", "--alg", "dhw", "--json"]) == 0
+        assert main(["explain", doc, "--limit", "5", "--alg", "dhw", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["limit"] == 5
         (explain,) = payload["explains"]
@@ -53,18 +53,18 @@ class TestExplainCli:
             assert 0.0 < entry["fill"] <= 1.0
 
     def test_top_limits_heaviest_listing(self, doc, capsys):
-        assert main([doc, "--limit", "5", "--top", "1"]) == 0
+        assert main(["explain", doc, "--limit", "5", "--top", "1"]) == 0
         out = capsys.readouterr().out
         assert "heaviest 1 partitions" in out
 
     def test_missing_document_exits_one(self, capsys):
-        assert main(["/no/such/file.xml"]) == 1
+        assert main(["explain", "/no/such/file.xml"]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_algorithm_exits_one(self, doc, capsys):
-        assert main([doc, "--alg", "nope"]) == 1
+        assert main(["explain", doc, "--alg", "nope"]) == 1
         assert "unknown algorithm" in capsys.readouterr().err
 
     def test_invalid_limit_exits_one(self, doc, capsys):
-        assert main([doc, "--limit", "0"]) == 1
+        assert main(["explain", doc, "--limit", "0"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import pytest
 
-from repro.obsv.chrometrace import load_chrome_trace
+from repro.telemetry import load_chrome_trace
 from repro.service.app import ServiceConfig, ServiceThread
 from repro.service.client import ServiceClient, ServiceClientError
 from tests.service.conftest import SAMPLE_XML

@@ -9,13 +9,13 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ReproError
-from repro.obsv import (
+from repro.telemetry import (
     CHROME_SCHEMA,
+    MetricRegistry,
     chrome_trace_events,
     export_chrome_trace,
     load_chrome_trace,
 )
-from repro.telemetry import MetricRegistry
 
 
 @pytest.fixture

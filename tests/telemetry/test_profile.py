@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from repro import telemetry
-from repro.obsv import build_profile, format_profile, profile_registry
-from repro.telemetry import MetricRegistry
+from repro.telemetry import MetricRegistry, build_profile, format_profile, profile_registry
 from repro.tree.builders import tree_from_spec
 
 from tests.conftest import FIG3_SPEC

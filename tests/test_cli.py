@@ -1,7 +1,13 @@
 """The user-facing ``repro`` command line."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.datasets import xmark_document
 from repro.xmlio import write_xml
@@ -12,6 +18,31 @@ def doc_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "doc.xml"
     write_xml(xmark_document(scale=0.002, seed=4), path)
     return str(path)
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "verb",
+        "partition import query compare stats serve recover bench explain faults lint".split(),
+    )
+    def test_every_verb_has_help(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: repro {verb}" in capsys.readouterr().out
+
+    def test_python_dash_m_repro(self):
+        src = str(Path(repro.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "--list-passes"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "REC001" in done.stdout
 
 
 class TestPartitionCommand:
